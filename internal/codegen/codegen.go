@@ -130,11 +130,10 @@ type CompileOptions struct {
 	// with these options: 0 = process default, 1 = serial.
 	Parallelism int
 	// FuseLevel selects superinstruction fusion: FuseOff emits one closure
-	// per instruction (the differential-testing baseline), FuseBranch folds
-	// single-use compares into their conditional branch, and FuseFull (the
-	// default; the zero value normalises to it) additionally fuses scalar
-	// def-use chains, Part load/store trees, and phi-edge moves into single
-	// closures.
+	// per instruction (the differential-testing baseline, and the stencil
+	// tier's shape); any other value, including the zero value, means
+	// FuseFull: scalar def-use chains, compares into their branches, Part
+	// load/store trees, and phi-edge moves fuse into single closures.
 	FuseLevel int
 	// ProfileLevel > 0 instruments every basic block with an atomic
 	// execution counter (ISSUE 4): exact per-block and loop-trip counts,
@@ -149,18 +148,9 @@ type CompileOptions struct {
 // set" and resolves to FuseFull so existing call sites get the optimised
 // backend.
 const (
-	FuseOff    = -1
-	FuseBranch = 1
-	FuseFull   = 2
+	FuseOff  = -1
+	FuseFull = 2
 )
-
-// fuseLevelOf normalises the option's zero value to the default.
-func fuseLevelOf(opts CompileOptions) int {
-	if opts.FuseLevel == 0 {
-		return FuseFull
-	}
-	return opts.FuseLevel
-}
 
 // Compile generates closure-threaded code for a typed module.
 func Compile(mod *wir.Module) (*Program, error) {
@@ -180,7 +170,7 @@ func CompileWithOptions(mod *wir.Module, opts CompileOptions) (*Program, error) 
 		p.byName[f.Name] = cf
 	}
 	for i, f := range mod.Funcs {
-		g := &gen{prog: p, fn: f, cf: p.Funcs[i], regs: map[wir.Value]reg{}, fuse: fuseLevelOf(opts), profile: opts.ProfileLevel > 0}
+		g := &gen{prog: p, fn: f, cf: p.Funcs[i], regs: map[wir.Value]reg{}, fuse: opts.FuseLevel != FuseOff, profile: opts.ProfileLevel > 0}
 		if err := g.generate(); err != nil {
 			return nil, err
 		}
@@ -312,8 +302,8 @@ type gen struct {
 	fn   *wir.Function
 	cf   *CFunc
 	regs map[wir.Value]reg
-	// fuse is the normalised CompileOptions.FuseLevel.
-	fuse int
+	// fuse is false under FuseOff: no instruction is composed into another.
+	fuse bool
 	// fused marks instructions folded into their single consumer (a
 	// superinstruction: the chain becomes one closure; fused instructions
 	// get no step and no register of their own).
@@ -470,9 +460,7 @@ func (g *gen) generate() error {
 	for i, b := range g.fn.Blocks {
 		blockIdx[b] = i
 	}
-	if err := g.markFused(); err != nil {
-		return err
-	}
+	g.markFused()
 	if g.profile {
 		g.cf.profCounts = make([]atomic.Uint64, len(g.fn.Blocks))
 		g.cf.profLabels = make([]string, len(g.fn.Blocks))
@@ -737,7 +725,7 @@ func (g *gen) threadEdge(b, t *wir.Block, blockIdx map[*wir.Block]int) ([]step, 
 	}
 	// Profiling needs every block entry to pass through the dispatch loop
 	// (where the counter step runs), so edge threading is disabled.
-	if g.fuse < FuseFull || g.profile {
+	if !g.fuse || g.profile {
 		return sts, blockIdx[t], nil
 	}
 	tt := t.Term()
@@ -1190,39 +1178,6 @@ func (g *gen) genRegistryCall(in *wir.Instr) (step, error) {
 		}
 		target.releaseFrame(cfr)
 	}, nil
-}
-
-// markFusedCompares finds scalar comparisons whose single use is the
-// conditional branch of their own block; those fold into the terminator.
-
-func (g *gen) markFusedCompares() {
-	g.fused = map[*wir.Instr]bool{}
-	uses := map[wir.Value]int{}
-	for _, b := range g.fn.Blocks {
-		for _, phi := range b.Phis {
-			for _, a := range phi.Args {
-				uses[a]++
-			}
-		}
-		for _, in := range b.Instrs {
-			for _, a := range in.Args {
-				uses[a]++
-			}
-		}
-	}
-	for _, b := range g.fn.Blocks {
-		t := b.Term()
-		if t == nil || t.Op != wir.OpCondBranch {
-			continue
-		}
-		cmp, ok := t.Args[0].(*wir.Instr)
-		if !ok || cmp.Block != b || cmp.Op != wir.OpCall || uses[cmp] != 1 {
-			continue
-		}
-		if _, fusible := fusedCmpKind(cmp); fusible {
-			g.fused[cmp] = true
-		}
-	}
 }
 
 // fusedCmpKind classifies a compare for fusion: op name and whether the

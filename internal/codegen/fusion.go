@@ -18,6 +18,11 @@
 // phi registers only change on edges), so deferring register reads within
 // a block is always safe; the barrier exists for tensor stores, RNG draws,
 // and engine escapes.
+//
+// The evaluator builders below are also the only place a scalar native's
+// body is written: an unfused instruction (FuseOff, or any instruction of
+// the stencil tier) is a tree of one node whose operands are registers or
+// literals.
 package codegen
 
 import (
@@ -119,21 +124,13 @@ func (x opC) get(fr *frame) complex128 {
 // ---------------------------------------------------------------------------
 // Marking
 
-// markFused selects the fusion strategy for this function's level.
-func (g *gen) markFused() error {
+// markFused marks every instruction foldable into its single consumer
+// (none under FuseOff).
+func (g *gen) markFused() {
 	g.fused = map[*wir.Instr]bool{}
-	switch {
-	case g.fuse <= FuseOff:
-		return nil
-	case g.fuse < FuseFull:
-		g.markFusedCompares()
-		return nil
+	if !g.fuse {
+		return
 	}
-	return g.markFusedFull()
-}
-
-// markFusedFull marks every instruction foldable into its single consumer.
-func (g *gen) markFusedFull() error {
 	uses := map[wir.Value]int{}
 	for _, b := range g.fn.Blocks {
 		for _, phi := range b.Phis {
@@ -217,7 +214,6 @@ func (g *gen) markFusedFull() error {
 			g.fused[in] = true
 		}
 	}
-	return nil
 }
 
 // usesValue reports whether in has v among its operands.
@@ -299,12 +295,12 @@ var nonBarrierNatives = map[string]bool{
 	"part_unsafe_1": true, "part_unsafe_2": true, "part_row": true,
 	"copy_tensor": true, "list_take": true, "list_new": true,
 	"matrix_new": true,
-	"dot_vv": true, "dot_mv": true, "dot_mm": true,
+	"dot_vv":     true, "dot_mv": true, "dot_mm": true,
 	"tensor_plus": true, "tensor_times": true, "tensor_subtract": true,
 	"tensor_scalar_plus": true, "tensor_scalar_times": true,
 	"tensor_scalar_subtract": true, "scalar_tensor_plus": true,
 	"scalar_tensor_times": true, "scalar_tensor_subtract": true,
-	"tensor_minus": true,
+	"tensor_minus":    true,
 	"tensor_math_sin": true, "tensor_math_cos": true, "tensor_math_tan": true,
 	"tensor_math_exp": true, "tensor_math_log": true, "tensor_math_sqrt": true,
 	"tensor_math_abs": true, "gaussian_blur": true, "histogram_bins": true,
@@ -338,7 +334,11 @@ func barrierInstr(in *wir.Instr) bool {
 
 // fusibleProducer reports whether in can become an interior node of a fused
 // tree: a native call with a scalar result kind the evaluator builders
-// cover. The switch must stay in sync with buildEvalI/F/B/C.
+// cover. It is also the gate for the one scalar emitter: genNative and the
+// stencil tier send exactly these instructions to assignTo.
+// TestScalarEdgeDifferential (scalar_edge_test.go) compiles every scalar
+// instance admitted here through all three paths and fails on any the
+// builders cannot emit.
 func (g *gen) fusibleProducer(in *wir.Instr) bool {
 	if in.Op != wir.OpCall || in.ResolvedFn != nil || in.Ty == nil || in.IsTerminator() {
 		return false
@@ -361,8 +361,14 @@ func (g *gen) fusibleProducer(in *wir.Instr) bool {
 		"mixed_ir_times", "mixed_ri_subtract", "mixed_ir_subtract",
 		"mixed_ri_divide", "mixed_ir_divide",
 		"power_real", "power_real_int", "mod_real", "abs_real", "math_atan2",
-		"abs_complex", "re", "im", "to_real64":
+		"abs_complex", "re", "im":
 		return rk == runtime.KR64
+	case "to_real64":
+		if rk != runtime.KR64 || len(in.Args) != 1 || in.Args[0].Type() == nil {
+			return false
+		}
+		k := runtime.KindOf(in.Args[0].Type())
+		return k == runtime.KI64 || k == runtime.KR64
 	case "mixed_cr_plus", "mixed_rc_plus", "mixed_cr_times", "mixed_rc_times",
 		"mixed_cr_subtract", "mixed_rc_subtract",
 		"power_complex", "power_complex_int", "make_complex":
@@ -732,19 +738,19 @@ func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(fr *frame) int64 { return int64(math.Floor(x.get(fr))) }, nil
+		return func(fr *frame) int64 { return runtime.RealToI64(math.Floor(x.get(fr))) }, nil
 	case "ceiling_real":
 		x, err := g.opFFor(in.Args[0])
 		if err != nil {
 			return nil, err
 		}
-		return func(fr *frame) int64 { return int64(math.Ceil(x.get(fr))) }, nil
+		return func(fr *frame) int64 { return runtime.RealToI64(math.Ceil(x.get(fr))) }, nil
 	case "round_real":
 		x, err := g.opFFor(in.Args[0])
 		if err != nil {
 			return nil, err
 		}
-		return func(fr *frame) int64 { return int64(math.RoundToEven(x.get(fr))) }, nil
+		return func(fr *frame) int64 { return runtime.RealToI64(math.RoundToEven(x.get(fr))) }, nil
 	case "identity_int":
 		x, err := g.opIFor(in.Args[0])
 		if err != nil {
@@ -774,13 +780,13 @@ func (g *gen) buildEvalI(in *wir.Instr) (evalI, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(fr *frame) int64 { return x.get(fr) << uint64(y.get(fr)) }, nil
+		return func(fr *frame) int64 { return runtime.ShlI64(x.get(fr), y.get(fr)) }, nil
 	case "bitshiftright":
 		x, y, err := g.opII(in)
 		if err != nil {
 			return nil, err
 		}
-		return func(fr *frame) int64 { return x.get(fr) >> uint64(y.get(fr)) }, nil
+		return func(fr *frame) int64 { return runtime.ShrI64(x.get(fr), y.get(fr)) }, nil
 	case "cast":
 		x, err := g.opIFor(in.Args[0])
 		if err != nil {
@@ -1212,6 +1218,24 @@ func (g *gen) buildEvalC(in *wir.Instr) (evalC, error) {
 		return g.partEvalC(in, native)
 	}
 	return nil, fmt.Errorf("codegen %s: no fused complex evaluator for native %q", g.fn.Name, native)
+}
+
+func cmpF(op string, a, b float64) bool {
+	switch op {
+	case "less":
+		return a < b
+	case "lessequal":
+		return a <= b
+	case "greater":
+		return a > b
+	case "greaterequal":
+		return a >= b
+	case "equal":
+		return a == b
+	case "unequal":
+		return a != b
+	}
+	return false
 }
 
 func cmpIEval(op string, x, y opI) evalB {

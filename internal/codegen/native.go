@@ -38,6 +38,15 @@ func (g *gen) genNative(in *wir.Instr) (step, error) {
 		return nil, fmt.Errorf("codegen %s: unresolved call %s (function resolution incomplete)", g.fn.Name, in.Callee)
 	}
 
+	if g.fusibleProducer(in) {
+		// A scalar native's body lives only in the fused-tree builders;
+		// without fused operands the tree is the single instruction.
+		dst, err := g.regOf(in)
+		if err != nil {
+			return nil, err
+		}
+		return g.assignTo(dst, in)
+	}
 	regs := make([]reg, len(in.Args))
 	for i, a := range in.Args {
 		r, err := g.regOf(a)
@@ -72,331 +81,38 @@ func tensorArg(fr *frame, idx int) *runtime.Tensor {
 	return t
 }
 
-// selectNative is the instruction selector: one small Go closure per typed
-// primitive. Binary scalar ops index the frame register files directly.
+// selectNative is the instruction selector for the natives the fused-tree
+// builders do not cover: tensors, strings, symbolic operations, random
+// numbers, and the pattern-miss step the stencil tier shares.
 func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) step {
 	d := dst.idx
 	a0 := func() int { return regs[0].idx }
 	a1 := func() int { return regs[1].idx }
-	a2 := func() int { return regs[2].idx }
 
 	switch native {
-	// --- pattern dispatch ---
 	case "pattern_miss":
-		// A decision-tree leaf no DownValue rule covers: unwind to the tier
-		// dispatcher, which hands the call to the interpreter rules (F2
-		// guard miss). The operand is a dummy and the destination register
-		// is never written.
-		return func(fr *frame) { runtime.Throw(runtime.ExcNoMatch, "no matching DownValue rule") }
-	// --- checked scalar arithmetic ---
-	case "binary_plus":
-		switch argKind(regs, 0) {
-		case runtime.KI64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.i[d] = runtime.AddI64(fr.i[a], fr.i[b]) }
-		case runtime.KR64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.f[d] = fr.f[a] + fr.f[b] }
-		case runtime.KC64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.c[d] = fr.c[a] + fr.c[b] }
+		return patternMissStep
+	// --- string ordering (the machine-scalar arms are the builders') ---
+	case "cmp_less", "cmp_lessequal", "cmp_greater", "cmp_greaterequal", "cmp_equal", "cmp_unequal",
+		"min", "max":
+		if argKind(regs, 0) != runtime.KObj {
+			return nil
 		}
-	case "binary_times":
-		switch argKind(regs, 0) {
-		case runtime.KI64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.i[d] = runtime.MulI64(fr.i[a], fr.i[b]) }
-		case runtime.KR64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.f[d] = fr.f[a] * fr.f[b] }
-		case runtime.KC64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.c[d] = fr.c[a] * fr.c[b] }
-		}
-	case "binary_subtract":
-		switch argKind(regs, 0) {
-		case runtime.KI64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.i[d] = runtime.SubI64(fr.i[a], fr.i[b]) }
-		case runtime.KR64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.f[d] = fr.f[a] - fr.f[b] }
-		case runtime.KC64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.c[d] = fr.c[a] - fr.c[b] }
-		}
-	case "unary_minus":
-		switch argKind(regs, 0) {
-		case runtime.KI64:
-			a := a0()
-			return func(fr *frame) { fr.i[d] = runtime.NegI64(fr.i[a]) }
-		case runtime.KR64:
-			a := a0()
-			return func(fr *frame) { fr.f[d] = -fr.f[a] }
-		case runtime.KC64:
-			a := a0()
-			return func(fr *frame) { fr.c[d] = -fr.c[a] }
-		}
-	case "binary_divide":
-		switch argKind(regs, 0) {
-		case runtime.KR64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.f[d] = fr.f[a] / fr.f[b] }
-		case runtime.KC64:
-			a, b := a0(), a1()
-			return func(fr *frame) { fr.c[d] = fr.c[a] / fr.c[b] }
-		}
-	case "divide_int_real":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) / float64(fr.i[b]) }
-
-	// --- mixed-width promotion ---
-	case "mixed_ri_plus":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = fr.f[a] + float64(fr.i[b]) }
-	case "mixed_ir_plus":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) + fr.f[b] }
-	case "mixed_ri_times":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = fr.f[a] * float64(fr.i[b]) }
-	case "mixed_ir_times":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) * fr.f[b] }
-	case "mixed_ri_subtract":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = fr.f[a] - float64(fr.i[b]) }
-	case "mixed_ir_subtract":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) - fr.f[b] }
-	case "mixed_ri_divide":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = fr.f[a] / float64(fr.i[b]) }
-	case "mixed_ir_divide":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) / fr.f[b] }
-	case "mixed_cr_plus":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = fr.c[a] + complex(fr.f[b], 0) }
-	case "mixed_rc_plus":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = complex(fr.f[a], 0) + fr.c[b] }
-	case "mixed_cr_times":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = fr.c[a] * complex(fr.f[b], 0) }
-	case "mixed_rc_times":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = complex(fr.f[a], 0) * fr.c[b] }
-	case "mixed_cr_subtract":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = fr.c[a] - complex(fr.f[b], 0) }
-	case "mixed_rc_subtract":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = complex(fr.f[a], 0) - fr.c[b] }
-
-	// --- powers, mod, quotient ---
-	case "power_int":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = runtime.PowI64(fr.i[a], fr.i[b]) }
-	case "power_real":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = math.Pow(fr.f[a], fr.f[b]) }
-	case "power_real_int":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = math.Pow(fr.f[a], float64(fr.i[b])) }
-	case "power_complex_int":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = runtime.PowCInt(fr.c[a], fr.i[b]) }
-	case "power_complex":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = runtime.PowC(fr.c[a], fr.c[b]) }
-	case "mod_int":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = runtime.ModI64(fr.i[a], fr.i[b]) }
-	case "mod_real":
-		a, b := a0(), a1()
-		return func(fr *frame) {
-			r := math.Mod(fr.f[a], fr.f[b])
-			if r != 0 && (r < 0) != (fr.f[b] < 0) {
-				r += fr.f[b]
-			}
-			fr.f[d] = r
-		}
-	case "quotient_int":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = runtime.QuotI64(fr.i[a], fr.i[b]) }
-
-	// --- abs, sign, min/max ---
-	case "abs_int":
-		a := a0()
-		return func(fr *frame) {
-			v := fr.i[a]
-			if v < 0 {
-				v = runtime.NegI64(v)
-			}
-			fr.i[d] = v
-		}
-	case "abs_real":
-		a := a0()
-		return func(fr *frame) { fr.f[d] = math.Abs(fr.f[a]) }
-	case "abs_complex":
-		a := a0()
-		return func(fr *frame) { fr.f[d] = runtime.AbsC(fr.c[a]) }
-	case "sign_int":
-		a := a0()
-		return func(fr *frame) {
-			switch {
-			case fr.i[a] > 0:
-				fr.i[d] = 1
-			case fr.i[a] < 0:
-				fr.i[d] = -1
-			default:
-				fr.i[d] = 0
-			}
-		}
-	case "sign_real":
-		a := a0()
-		return func(fr *frame) {
-			switch {
-			case fr.f[a] > 0:
-				fr.i[d] = 1
-			case fr.f[a] < 0:
-				fr.i[d] = -1
-			default:
-				fr.i[d] = 0
-			}
-		}
-	case "min", "max":
-		isMin := native == "min"
-		switch argKind(regs, 0) {
-		case runtime.KI64:
-			a, b := a0(), a1()
-			return func(fr *frame) {
-				if (fr.i[a] < fr.i[b]) == isMin {
-					fr.i[d] = fr.i[a]
-				} else {
-					fr.i[d] = fr.i[b]
-				}
-			}
-		case runtime.KR64:
-			a, b := a0(), a1()
-			return func(fr *frame) {
-				if (fr.f[a] < fr.f[b]) == isMin {
-					fr.f[d] = fr.f[a]
-				} else {
-					fr.f[d] = fr.f[b]
-				}
-			}
-		case runtime.KObj: // strings
-			a, b := a0(), a1()
-			return func(fr *frame) {
-				x, y := fr.o[a].(string), fr.o[b].(string)
-				if (x < y) == isMin {
-					fr.o[d] = x
-				} else {
-					fr.o[d] = y
-				}
-			}
-		}
-
-	// --- comparisons ---
-	case "cmp_less", "cmp_lessequal", "cmp_greater", "cmp_greaterequal", "cmp_equal", "cmp_unequal":
-		return g.cmpStep(native, regs, d)
-	case "mixed_ri_cmp_less", "mixed_ri_cmp_lessequal", "mixed_ri_cmp_greater",
-		"mixed_ri_cmp_greaterequal", "mixed_ri_cmp_equal", "mixed_ri_cmp_unequal":
-		a, b := a0(), a1()
-		op := strings.TrimPrefix(native, "mixed_ri_cmp_")
-		return func(fr *frame) { fr.b[d] = cmpF(op, fr.f[a], float64(fr.i[b])) }
-	case "mixed_ir_cmp_less", "mixed_ir_cmp_lessequal", "mixed_ir_cmp_greater",
-		"mixed_ir_cmp_greaterequal", "mixed_ir_cmp_equal", "mixed_ir_cmp_unequal":
-		a, b := a0(), a1()
-		op := strings.TrimPrefix(native, "mixed_ir_cmp_")
-		return func(fr *frame) { fr.b[d] = cmpF(op, float64(fr.i[a]), fr.f[b]) }
-	case "sameq_bool":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.b[d] = fr.b[a] == fr.b[b] }
+		return stringOrderStep(native, a0(), a1(), d)
 	case "sameq_expr":
 		a, b := a0(), a1()
 		return func(fr *frame) {
 			fr.b[d] = runtime.SameQExpr(fr.o[a].(expr.Expr), fr.o[b].(expr.Expr))
 		}
-	case "not":
-		a := a0()
-		return func(fr *frame) { fr.b[d] = !fr.b[a] }
-	case "and":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.b[d] = fr.b[a] && fr.b[b] }
-	case "or":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.b[d] = fr.b[a] || fr.b[b] }
-
-	// --- elementary functions ---
-	case "math_sin", "math_cos", "math_tan", "math_exp", "math_log",
-		"math_sqrt", "math_arctan", "math_arcsin", "math_arccos":
-		f := mathFunc(strings.TrimPrefix(native, "math_"))
-		a := a0()
-		return func(fr *frame) { fr.f[d] = f(fr.f[a]) }
-	case "math_sin_int", "math_cos_int", "math_tan_int", "math_exp_int", "math_log_int",
-		"math_sqrt_int", "math_arctan_int", "math_arcsin_int", "math_arccos_int":
-		f := mathFunc(strings.TrimSuffix(strings.TrimPrefix(native, "math_"), "_int"))
-		a := a0()
-		return func(fr *frame) { fr.f[d] = f(float64(fr.i[a])) }
-	case "math_atan2":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.f[d] = math.Atan2(fr.f[b], fr.f[a]) }
-	case "floor_real":
-		a := a0()
-		return func(fr *frame) { fr.i[d] = int64(math.Floor(fr.f[a])) }
-	case "ceiling_real":
-		a := a0()
-		return func(fr *frame) { fr.i[d] = int64(math.Ceil(fr.f[a])) }
-	case "round_real":
-		a := a0()
-		return func(fr *frame) { fr.i[d] = int64(math.RoundToEven(fr.f[a])) }
-	case "identity_int":
-		a := a0()
-		return func(fr *frame) { fr.i[d] = fr.i[a] }
-	case "to_real64":
-		switch argKind(regs, 0) {
-		case runtime.KI64:
-			a := a0()
-			return func(fr *frame) { fr.f[d] = float64(fr.i[a]) }
-		case runtime.KR64:
-			a := a0()
-			return func(fr *frame) { fr.f[d] = fr.f[a] }
-		}
-	case "evenq":
-		a := a0()
-		return func(fr *frame) { fr.b[d] = fr.i[a]%2 == 0 }
-	case "oddq":
-		a := a0()
-		return func(fr *frame) { fr.b[d] = fr.i[a]%2 != 0 }
-
-	// --- bit operations ---
-	case "bitand":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = fr.i[a] & fr.i[b] }
-	case "bitor":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = fr.i[a] | fr.i[b] }
-	case "bitxor":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = fr.i[a] ^ fr.i[b] }
-	case "bitshiftleft":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = fr.i[a] << uint64(fr.i[b]) }
-	case "bitshiftright":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.i[d] = fr.i[a] >> uint64(fr.i[b]) }
 
 	// --- tensors ---
-	case "tensor_length":
-		a := a0()
-		return func(fr *frame) { fr.i[d] = int64(tensorArg(fr, a).Len()) }
 	case "part_1", "part_unsafe_1":
-		return g.partStep(in, regs, dst, native == "part_unsafe_1", false)
-	case "part_2", "part_unsafe_2":
-		return g.partStep(in, regs, dst, native == "part_unsafe_2", true)
+		// Object elements; scalar element reads are the fused-tree builders'.
+		a, b := a0(), a1()
+		if native == "part_unsafe_1" {
+			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).GetOU(fr.i[b]) }
+		}
+		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).GetO(fr.i[b]) }
 	case "part_row":
 		a, b := a0(), a1()
 		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).Row(fr.i[b]) }
@@ -548,17 +264,6 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 		a := a0()
 		return func(fr *frame) { fr.o[d] = runtime.FormatReal(fr.f[a]) }
 
-	// --- complex construction/parts ---
-	case "make_complex":
-		a, b := a0(), a1()
-		return func(fr *frame) { fr.c[d] = complex(fr.f[a], fr.f[b]) }
-	case "re":
-		a := a0()
-		return func(fr *frame) { fr.f[d] = real(fr.c[a]) }
-	case "im":
-		a := a0()
-		return func(fr *frame) { fr.f[d] = imag(fr.c[a]) }
-
 	// --- symbolic operations (F8) ---
 	case "expr_binary_plus", "expr_binary_times", "expr_binary_power":
 		head := map[string]string{
@@ -588,101 +293,35 @@ func (g *gen) selectNative(native string, in *wir.Instr, regs []reg, dst reg) st
 			a := a0()
 			return func(fr *frame) { fr.o[d] = expr.FromComplex(real(fr.c[a]), imag(fr.c[a])) }
 		}
-
-	// --- casts between machine widths (stored widened in i-registers) ---
-	case "cast":
-		return g.castStep(in, regs, dst)
 	}
-	_ = a2
 	return nil
 }
 
-func cmpF(op string, a, b float64) bool {
-	switch op {
-	case "less":
-		return a < b
-	case "lessequal":
-		return a <= b
-	case "greater":
-		return a > b
-	case "greaterequal":
-		return a >= b
-	case "equal":
-		return a == b
-	case "unequal":
-		return a != b
-	}
-	return false
-}
-
-func (g *gen) cmpStep(native string, regs []reg, d int) step {
-	op := strings.TrimPrefix(native, "cmp_")
-	a, b := regs[0].idx, regs[1].idx
-	switch argKind(regs, 0) {
-	case runtime.KI64:
-		switch op {
-		case "less":
-			return func(fr *frame) { fr.b[d] = fr.i[a] < fr.i[b] }
-		case "lessequal":
-			return func(fr *frame) { fr.b[d] = fr.i[a] <= fr.i[b] }
-		case "greater":
-			return func(fr *frame) { fr.b[d] = fr.i[a] > fr.i[b] }
-		case "greaterequal":
-			return func(fr *frame) { fr.b[d] = fr.i[a] >= fr.i[b] }
-		case "equal":
-			return func(fr *frame) { fr.b[d] = fr.i[a] == fr.i[b] }
-		case "unequal":
-			return func(fr *frame) { fr.b[d] = fr.i[a] != fr.i[b] }
-		}
-	case runtime.KR64:
-		switch op {
-		case "less":
-			return func(fr *frame) { fr.b[d] = fr.f[a] < fr.f[b] }
-		case "lessequal":
-			return func(fr *frame) { fr.b[d] = fr.f[a] <= fr.f[b] }
-		case "greater":
-			return func(fr *frame) { fr.b[d] = fr.f[a] > fr.f[b] }
-		case "greaterequal":
-			return func(fr *frame) { fr.b[d] = fr.f[a] >= fr.f[b] }
-		case "equal":
-			return func(fr *frame) { fr.b[d] = fr.f[a] == fr.f[b] }
-		case "unequal":
-			return func(fr *frame) { fr.b[d] = fr.f[a] != fr.f[b] }
-		}
-	case runtime.KC64:
-		switch op {
-		case "equal":
-			return func(fr *frame) { fr.b[d] = fr.c[a] == fr.c[b] }
-		case "unequal":
-			return func(fr *frame) { fr.b[d] = fr.c[a] != fr.c[b] }
-		}
-	case runtime.KObj: // strings
-		cmp := func(fr *frame) int {
-			x, y := fr.o[a].(string), fr.o[b].(string)
-			switch {
-			case x < y:
-				return -1
-			case x > y:
-				return 1
+// stringOrderStep compiles a comparison, Min or Max of two strings.
+func stringOrderStep(native string, a, b, d int) step {
+	cmp := func(fr *frame) int { return strings.Compare(fr.o[a].(string), fr.o[b].(string)) }
+	switch native {
+	case "min", "max":
+		isMin := native == "min"
+		return func(fr *frame) {
+			if (cmp(fr) < 0) == isMin {
+				fr.o[d] = fr.o[a]
+			} else {
+				fr.o[d] = fr.o[b]
 			}
-			return 0
 		}
-		switch op {
-		case "less":
-			return func(fr *frame) { fr.b[d] = cmp(fr) < 0 }
-		case "lessequal":
-			return func(fr *frame) { fr.b[d] = cmp(fr) <= 0 }
-		case "greater":
-			return func(fr *frame) { fr.b[d] = cmp(fr) > 0 }
-		case "greaterequal":
-			return func(fr *frame) { fr.b[d] = cmp(fr) >= 0 }
-		case "equal":
-			return func(fr *frame) { fr.b[d] = cmp(fr) == 0 }
-		case "unequal":
-			return func(fr *frame) { fr.b[d] = cmp(fr) != 0 }
-		}
+	case "cmp_less":
+		return func(fr *frame) { fr.b[d] = cmp(fr) < 0 }
+	case "cmp_lessequal":
+		return func(fr *frame) { fr.b[d] = cmp(fr) <= 0 }
+	case "cmp_greater":
+		return func(fr *frame) { fr.b[d] = cmp(fr) > 0 }
+	case "cmp_greaterequal":
+		return func(fr *frame) { fr.b[d] = cmp(fr) >= 0 }
+	case "cmp_equal":
+		return func(fr *frame) { fr.b[d] = cmp(fr) == 0 }
 	}
-	return nil
+	return func(fr *frame) { fr.b[d] = cmp(fr) != 0 }
 }
 
 func mathFunc(name string) func(float64) float64 {
@@ -716,62 +355,6 @@ func tensorElemKind(t types.Type) runtime.Kind {
 		return runtime.KObj
 	}
 	return runtime.KindOf(c.Args[0])
-}
-
-// partStep compiles element reads; the result class selects the accessor.
-func (g *gen) partStep(in *wir.Instr, regs []reg, dst reg, unsafe, rank2 bool) step {
-	d := dst.idx
-	a := regs[0].idx
-	i1 := regs[1].idx
-	if rank2 {
-		i2 := regs[2].idx
-		switch dst.kind {
-		case runtime.KI64:
-			if unsafe {
-				return func(fr *frame) { fr.i[d] = tensorArg(fr, a).GetI2U(fr.i[i1], fr.i[i2]) }
-			}
-			return func(fr *frame) { fr.i[d] = tensorArg(fr, a).GetI2(fr.i[i1], fr.i[i2]) }
-		case runtime.KR64:
-			if unsafe {
-				return func(fr *frame) { fr.f[d] = tensorArg(fr, a).GetF2U(fr.i[i1], fr.i[i2]) }
-			}
-			return func(fr *frame) { fr.f[d] = tensorArg(fr, a).GetF2(fr.i[i1], fr.i[i2]) }
-		case runtime.KC64:
-			if unsafe {
-				return func(fr *frame) { fr.c[d] = tensorArg(fr, a).GetC2U(fr.i[i1], fr.i[i2]) }
-			}
-			return func(fr *frame) { fr.c[d] = tensorArg(fr, a).GetC2(fr.i[i1], fr.i[i2]) }
-		}
-		return nil
-	}
-	switch dst.kind {
-	case runtime.KI64:
-		if unsafe {
-			return func(fr *frame) { fr.i[d] = tensorArg(fr, a).GetIU(fr.i[i1]) }
-		}
-		return func(fr *frame) { fr.i[d] = tensorArg(fr, a).GetI(fr.i[i1]) }
-	case runtime.KR64:
-		if unsafe {
-			return func(fr *frame) { fr.f[d] = tensorArg(fr, a).GetFU(fr.i[i1]) }
-		}
-		return func(fr *frame) { fr.f[d] = tensorArg(fr, a).GetF(fr.i[i1]) }
-	case runtime.KC64:
-		if unsafe {
-			return func(fr *frame) { fr.c[d] = tensorArg(fr, a).GetCU(fr.i[i1]) }
-		}
-		return func(fr *frame) { fr.c[d] = tensorArg(fr, a).GetC(fr.i[i1]) }
-	case runtime.KBool:
-		if unsafe {
-			return func(fr *frame) { fr.b[d] = tensorArg(fr, a).GetBU(fr.i[i1]) }
-		}
-		return func(fr *frame) { fr.b[d] = tensorArg(fr, a).GetB(fr.i[i1]) }
-	case runtime.KObj:
-		if unsafe {
-			return func(fr *frame) { fr.o[d] = tensorArg(fr, a).GetOU(fr.i[i1]) }
-		}
-		return func(fr *frame) { fr.o[d] = tensorArg(fr, a).GetO(fr.i[i1]) }
-	}
-	return nil
 }
 
 // setPartStep compiles element writes; the stored value's class selects the
@@ -1001,34 +584,4 @@ func (g *gen) genKernelApply(in *wir.Instr) (step, error) {
 		}
 		fr.o[d] = runtime.KernelApply(fr.rt.Engine, head, args)
 	}, nil
-}
-
-// castStep compiles integer width casts; values live widened in int64
-// registers, so a cast masks/sign-extends.
-func (g *gen) castStep(in *wir.Instr, regs []reg, dst reg) step {
-	d := dst.idx
-	a := regs[0].idx
-	at, ok := in.Ty.(*types.Atomic)
-	if !ok {
-		return nil
-	}
-	switch at.Name {
-	case "Integer8":
-		return func(fr *frame) { fr.i[d] = int64(int8(fr.i[a])) }
-	case "Integer16":
-		return func(fr *frame) { fr.i[d] = int64(int16(fr.i[a])) }
-	case "Integer32":
-		return func(fr *frame) { fr.i[d] = int64(int32(fr.i[a])) }
-	case "Integer64":
-		return func(fr *frame) { fr.i[d] = fr.i[a] }
-	case "UnsignedInteger8":
-		return func(fr *frame) { fr.i[d] = int64(uint8(fr.i[a])) }
-	case "UnsignedInteger16":
-		return func(fr *frame) { fr.i[d] = int64(uint16(fr.i[a])) }
-	case "UnsignedInteger32":
-		return func(fr *frame) { fr.i[d] = int64(uint32(fr.i[a])) }
-	case "UnsignedInteger64":
-		return func(fr *frame) { fr.i[d] = fr.i[a] }
-	}
-	return nil
 }

@@ -1,14 +1,16 @@
 // The baseline stencil backend (copy-and-patch, after Xu & Kjolstad 2021):
-// every scalar TWIR instruction shape has a pre-built closure template — a
-// "stencil" — keyed by native id and operand register classes. Compiling a
-// function is a straight table walk: look the stencil up, patch in the
-// frame slot indices, append. No pass manager, no fusion, no instruction
-// selection heuristics — the price is that only the machine-scalar
-// fragment is covered (the same fragment the tiering engine promotes), and
-// steady-state code runs one closure per instruction like the -fuse=off
-// backend. The payoff is compile time: table lookups against a front end
-// that skipped the constraint solver (infer.Quick) land stencil compiles
-// one to two orders of magnitude below the full O2 pipeline.
+// each scalar TWIR instruction becomes one pre-built closure template — a
+// "stencil" — with its frame slot indices patched in. The templates are the
+// fused-tree builders of fusion.go (assignTo / buildEval*) composing no
+// subtrees, so this tier and the optimising backend share one body per
+// native: the stencil tier is a consumer of that library, not a copy of
+// it. Compiling a function is a straight walk: gate the instruction to
+// machine scalars, patch, append. No pass manager, no fusion — the price is
+// that only the machine-scalar fragment is covered (the same fragment the
+// tiering engine promotes), and steady-state code runs one closure per
+// instruction like the FuseOff backend. The payoff is compile time: a
+// front end that skipped the constraint solver (infer.Quick) lands stencil
+// compiles one to two orders of magnitude below the full O2 pipeline.
 //
 // The output is an ordinary *Program of *CFuncs, so the fnreg lifecycle,
 // guard-miss/overflow fallback, metrics, and the dispatch wrapper in
@@ -17,8 +19,6 @@ package codegen
 
 import (
 	"fmt"
-	"math"
-	"strings"
 
 	"wolfc/internal/runtime"
 	"wolfc/internal/types"
@@ -33,406 +33,6 @@ func stencilErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrStencilUnsupported, fmt.Sprintf(format, args...))
 }
 
-// stencil2 is a binary-operand stencil: patching destination and two
-// operand slots yields the executable step.
-type stencil2 func(d, a, b int) step
-
-// stencil1 is a unary-operand stencil.
-type stencil1 func(d, a int) step
-
-// kindChar is the operand-signature letter for a register class.
-func kindChar(k runtime.Kind) byte {
-	switch k {
-	case runtime.KI64:
-		return 'i'
-	case runtime.KR64:
-		return 'r'
-	case runtime.KC64:
-		return 'c'
-	case runtime.KBool:
-		return 'b'
-	}
-	return '?'
-}
-
-// The table keys are structs, not "native/sig" strings: lookups happen once
-// per compiled instruction and a struct key needs no allocation, where
-// concatenating the signature did. The registration helpers still accept the
-// readable "native/sig" spelling and split it once at init.
-type skey2 struct {
-	native string
-	a, b   byte
-}
-
-type skey1 struct {
-	native string
-	a      byte
-}
-
-// The tables. Populated once at init; every entry is a pre-built template
-// whose only free inputs are frame slot indices.
-var (
-	stencils2 = map[skey2]stencil2{}
-	stencils1 = map[skey1]stencil1{}
-)
-
-func init() {
-	reg2 := func(key string, s stencil2) {
-		i := strings.IndexByte(key, '/')
-		stencils2[skey2{key[:i], key[i+1], key[i+2]}] = s
-	}
-	reg1 := func(key string, s stencil1) {
-		i := strings.IndexByte(key, '/')
-		stencils1[skey1{key[:i], key[i+1]}] = s
-	}
-
-	// --- pattern dispatch ---
-	// A dispatch-tree leaf no DownValue rule covers: fixed template (the
-	// operand is a dummy, the destination is never written), mirroring
-	// abortStencil's shape.
-	reg1("pattern_miss/i", func(d, a int) step {
-		return func(fr *frame) { runtime.Throw(runtime.ExcNoMatch, "no matching DownValue rule") }
-	})
-
-	// --- checked scalar arithmetic ---
-	reg2("binary_plus/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = runtime.AddI64(fr.i[a], fr.i[b]) }
-	})
-	reg2("binary_plus/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] + fr.f[b] }
-	})
-	reg2("binary_plus/cc", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = fr.c[a] + fr.c[b] }
-	})
-	reg2("binary_times/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = runtime.MulI64(fr.i[a], fr.i[b]) }
-	})
-	reg2("binary_times/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] * fr.f[b] }
-	})
-	reg2("binary_times/cc", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = fr.c[a] * fr.c[b] }
-	})
-	reg2("binary_subtract/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = runtime.SubI64(fr.i[a], fr.i[b]) }
-	})
-	reg2("binary_subtract/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] - fr.f[b] }
-	})
-	reg2("binary_subtract/cc", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = fr.c[a] - fr.c[b] }
-	})
-	reg2("binary_divide/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] / fr.f[b] }
-	})
-	reg2("binary_divide/cc", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = fr.c[a] / fr.c[b] }
-	})
-	reg2("divide_int_real/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) / float64(fr.i[b]) }
-	})
-	reg1("unary_minus/i", func(d, a int) step {
-		return func(fr *frame) { fr.i[d] = runtime.NegI64(fr.i[a]) }
-	})
-	reg1("unary_minus/r", func(d, a int) step {
-		return func(fr *frame) { fr.f[d] = -fr.f[a] }
-	})
-	reg1("unary_minus/c", func(d, a int) step {
-		return func(fr *frame) { fr.c[d] = -fr.c[a] }
-	})
-
-	// --- mixed-width promotion ---
-	reg2("mixed_ri_plus/ri", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] + float64(fr.i[b]) }
-	})
-	reg2("mixed_ir_plus/ir", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) + fr.f[b] }
-	})
-	reg2("mixed_ri_times/ri", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] * float64(fr.i[b]) }
-	})
-	reg2("mixed_ir_times/ir", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) * fr.f[b] }
-	})
-	reg2("mixed_ri_subtract/ri", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] - float64(fr.i[b]) }
-	})
-	reg2("mixed_ir_subtract/ir", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) - fr.f[b] }
-	})
-	reg2("mixed_ri_divide/ri", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] / float64(fr.i[b]) }
-	})
-	reg2("mixed_ir_divide/ir", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) / fr.f[b] }
-	})
-	reg2("mixed_cr_plus/cr", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = fr.c[a] + complex(fr.f[b], 0) }
-	})
-	reg2("mixed_rc_plus/rc", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = complex(fr.f[a], 0) + fr.c[b] }
-	})
-	reg2("mixed_cr_times/cr", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = fr.c[a] * complex(fr.f[b], 0) }
-	})
-	reg2("mixed_rc_times/rc", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = complex(fr.f[a], 0) * fr.c[b] }
-	})
-	reg2("mixed_cr_subtract/cr", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = fr.c[a] - complex(fr.f[b], 0) }
-	})
-	reg2("mixed_rc_subtract/rc", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = complex(fr.f[a], 0) - fr.c[b] }
-	})
-
-	// --- powers, mod, quotient ---
-	reg2("power_int/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = runtime.PowI64(fr.i[a], fr.i[b]) }
-	})
-	reg2("power_real/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = math.Pow(fr.f[a], fr.f[b]) }
-	})
-	reg2("power_real_int/ri", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = math.Pow(fr.f[a], float64(fr.i[b])) }
-	})
-	reg2("power_complex_int/ci", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = runtime.PowCInt(fr.c[a], fr.i[b]) }
-	})
-	reg2("power_complex/cc", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = runtime.PowC(fr.c[a], fr.c[b]) }
-	})
-	reg2("mod_int/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = runtime.ModI64(fr.i[a], fr.i[b]) }
-	})
-	reg2("mod_real/rr", func(d, a, b int) step {
-		return func(fr *frame) {
-			r := math.Mod(fr.f[a], fr.f[b])
-			if r != 0 && (r < 0) != (fr.f[b] < 0) {
-				r += fr.f[b]
-			}
-			fr.f[d] = r
-		}
-	})
-	reg2("quotient_int/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = runtime.QuotI64(fr.i[a], fr.i[b]) }
-	})
-
-	// --- abs, sign, min/max ---
-	reg1("abs_int/i", func(d, a int) step {
-		return func(fr *frame) {
-			v := fr.i[a]
-			if v < 0 {
-				v = runtime.NegI64(v)
-			}
-			fr.i[d] = v
-		}
-	})
-	reg1("abs_real/r", func(d, a int) step {
-		return func(fr *frame) { fr.f[d] = math.Abs(fr.f[a]) }
-	})
-	reg1("abs_complex/c", func(d, a int) step {
-		return func(fr *frame) { fr.f[d] = runtime.AbsC(fr.c[a]) }
-	})
-	reg1("sign_int/i", func(d, a int) step {
-		return func(fr *frame) {
-			switch {
-			case fr.i[a] > 0:
-				fr.i[d] = 1
-			case fr.i[a] < 0:
-				fr.i[d] = -1
-			default:
-				fr.i[d] = 0
-			}
-		}
-	})
-	reg1("sign_real/r", func(d, a int) step {
-		return func(fr *frame) {
-			switch {
-			case fr.f[a] > 0:
-				fr.i[d] = 1
-			case fr.f[a] < 0:
-				fr.i[d] = -1
-			default:
-				fr.i[d] = 0
-			}
-		}
-	})
-	reg2("min/ii", func(d, a, b int) step {
-		return func(fr *frame) {
-			if fr.i[a] < fr.i[b] {
-				fr.i[d] = fr.i[a]
-			} else {
-				fr.i[d] = fr.i[b]
-			}
-		}
-	})
-	reg2("max/ii", func(d, a, b int) step {
-		return func(fr *frame) {
-			if fr.i[a] > fr.i[b] {
-				fr.i[d] = fr.i[a]
-			} else {
-				fr.i[d] = fr.i[b]
-			}
-		}
-	})
-	reg2("min/rr", func(d, a, b int) step {
-		return func(fr *frame) {
-			if fr.f[a] < fr.f[b] {
-				fr.f[d] = fr.f[a]
-			} else {
-				fr.f[d] = fr.f[b]
-			}
-		}
-	})
-	reg2("max/rr", func(d, a, b int) step {
-		return func(fr *frame) {
-			if fr.f[a] > fr.f[b] {
-				fr.f[d] = fr.f[a]
-			} else {
-				fr.f[d] = fr.f[b]
-			}
-		}
-	})
-
-	// --- comparisons ---
-	reg2("cmp_less/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.i[a] < fr.i[b] }
-	})
-	reg2("cmp_lessequal/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.i[a] <= fr.i[b] }
-	})
-	reg2("cmp_greater/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.i[a] > fr.i[b] }
-	})
-	reg2("cmp_greaterequal/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.i[a] >= fr.i[b] }
-	})
-	reg2("cmp_equal/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.i[a] == fr.i[b] }
-	})
-	reg2("cmp_unequal/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.i[a] != fr.i[b] }
-	})
-	reg2("cmp_less/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.f[a] < fr.f[b] }
-	})
-	reg2("cmp_lessequal/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.f[a] <= fr.f[b] }
-	})
-	reg2("cmp_greater/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.f[a] > fr.f[b] }
-	})
-	reg2("cmp_greaterequal/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.f[a] >= fr.f[b] }
-	})
-	reg2("cmp_equal/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.f[a] == fr.f[b] }
-	})
-	reg2("cmp_unequal/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.f[a] != fr.f[b] }
-	})
-	reg2("cmp_equal/cc", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.c[a] == fr.c[b] }
-	})
-	reg2("cmp_unequal/cc", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.c[a] != fr.c[b] }
-	})
-	for _, mixed := range []struct {
-		id string
-		f  func(a, b float64) bool
-	}{
-		{"less", func(a, b float64) bool { return a < b }},
-		{"lessequal", func(a, b float64) bool { return a <= b }},
-		{"greater", func(a, b float64) bool { return a > b }},
-		{"greaterequal", func(a, b float64) bool { return a >= b }},
-		{"equal", func(a, b float64) bool { return a == b }},
-		{"unequal", func(a, b float64) bool { return a != b }},
-	} {
-		cmp := mixed.f
-		reg2("mixed_ri_cmp_"+mixed.id+"/ri", func(d, a, b int) step {
-			return func(fr *frame) { fr.b[d] = cmp(fr.f[a], float64(fr.i[b])) }
-		})
-		reg2("mixed_ir_cmp_"+mixed.id+"/ir", func(d, a, b int) step {
-			return func(fr *frame) { fr.b[d] = cmp(float64(fr.i[a]), fr.f[b]) }
-		})
-	}
-	reg2("sameq_bool/bb", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.b[a] == fr.b[b] }
-	})
-	reg1("not/b", func(d, a int) step {
-		return func(fr *frame) { fr.b[d] = !fr.b[a] }
-	})
-	reg2("and/bb", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.b[a] && fr.b[b] }
-	})
-	reg2("or/bb", func(d, a, b int) step {
-		return func(fr *frame) { fr.b[d] = fr.b[a] || fr.b[b] }
-	})
-
-	// --- elementary functions ---
-	for _, name := range []string{"sin", "cos", "tan", "exp", "log", "sqrt", "arctan", "arcsin", "arccos"} {
-		f := mathFunc(name)
-		reg1("math_"+name+"/r", func(d, a int) step {
-			return func(fr *frame) { fr.f[d] = f(fr.f[a]) }
-		})
-		reg1("math_"+name+"_int/i", func(d, a int) step {
-			return func(fr *frame) { fr.f[d] = f(float64(fr.i[a])) }
-		})
-	}
-	reg2("math_atan2/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.f[d] = math.Atan2(fr.f[b], fr.f[a]) }
-	})
-	reg1("floor_real/r", func(d, a int) step {
-		return func(fr *frame) { fr.i[d] = int64(math.Floor(fr.f[a])) }
-	})
-	reg1("ceiling_real/r", func(d, a int) step {
-		return func(fr *frame) { fr.i[d] = int64(math.Ceil(fr.f[a])) }
-	})
-	reg1("round_real/r", func(d, a int) step {
-		return func(fr *frame) { fr.i[d] = int64(math.RoundToEven(fr.f[a])) }
-	})
-	reg1("identity_int/i", func(d, a int) step {
-		return func(fr *frame) { fr.i[d] = fr.i[a] }
-	})
-	reg1("to_real64/i", func(d, a int) step {
-		return func(fr *frame) { fr.f[d] = float64(fr.i[a]) }
-	})
-	reg1("to_real64/r", func(d, a int) step {
-		return func(fr *frame) { fr.f[d] = fr.f[a] }
-	})
-	reg1("evenq/i", func(d, a int) step {
-		return func(fr *frame) { fr.b[d] = fr.i[a]%2 == 0 }
-	})
-	reg1("oddq/i", func(d, a int) step {
-		return func(fr *frame) { fr.b[d] = fr.i[a]%2 != 0 }
-	})
-
-	// --- bit operations ---
-	reg2("bitand/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = fr.i[a] & fr.i[b] }
-	})
-	reg2("bitor/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = fr.i[a] | fr.i[b] }
-	})
-	reg2("bitxor/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = fr.i[a] ^ fr.i[b] }
-	})
-	reg2("bitshiftleft/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = fr.i[a] << uint64(fr.i[b]) }
-	})
-	reg2("bitshiftright/ii", func(d, a, b int) step {
-		return func(fr *frame) { fr.i[d] = fr.i[a] >> uint64(fr.i[b]) }
-	})
-
-	// --- complex construction ---
-	reg2("make_complex/rr", func(d, a, b int) step {
-		return func(fr *frame) { fr.c[d] = complex(fr.f[a], fr.f[b]) }
-	})
-}
-
-// StencilCoverage reports the table sizes (documentation and tests).
-func StencilCoverage() (binary, unary int) { return len(stencils2), len(stencils1) }
-
 // abortStencil is the fixed template for OpAbortCheck — no operands, so
 // nothing to patch.
 var abortStencil step = func(fr *frame) {
@@ -441,10 +41,18 @@ var abortStencil step = func(fr *frame) {
 	}
 }
 
-// StencilCompile assembles a typed scalar module into a runnable Program
-// by table lookup. Modules outside the covered fragment return an
-// ErrStencilUnsupported-wrapped error; callers fall back to the full
-// pipeline or stay on the interpreter.
+// patternMissStep is a dispatch-tree leaf no DownValue rule covers, shared
+// by both tiers: it unwinds to the tier dispatcher, which hands the call to
+// the interpreter rules (F2 guard miss). The operand is a dummy and the
+// destination register is never written.
+var patternMissStep step = func(fr *frame) {
+	runtime.Throw(runtime.ExcNoMatch, "no matching DownValue rule")
+}
+
+// StencilCompile assembles a typed scalar module into a runnable Program,
+// one patched stencil per instruction. Modules outside the covered fragment
+// return an ErrStencilUnsupported-wrapped error; callers fall back to the
+// full pipeline or stay on the interpreter.
 func StencilCompile(mod *wir.Module) (*Program, error) {
 	if !mod.Typed {
 		return nil, fmt.Errorf("stencil: module is untyped; run inference first")
@@ -456,7 +64,7 @@ func StencilCompile(mod *wir.Module) (*Program, error) {
 		p.byName[f.Name] = cf
 	}
 	for i, f := range mod.Funcs {
-		g := &gen{prog: p, fn: f, cf: p.Funcs[i], regs: map[wir.Value]reg{}, fuse: FuseOff}
+		g := &gen{prog: p, fn: f, cf: p.Funcs[i], regs: map[wir.Value]reg{}}
 		if err := stencilAssemble(g); err != nil {
 			return nil, err
 		}
@@ -471,8 +79,8 @@ func StencilCompile(mod *wir.Module) (*Program, error) {
 // stencilAssemble walks one function's TWIR and patches a stencil per
 // instruction. Register assignment and phi-edge parallel copies reuse the
 // backend's slot allocator and move sequentialiser (they are shared
-// calling-convention machinery, not instruction selection); every step
-// body comes from the table.
+// calling-convention machinery, not instruction selection); every native
+// step body comes from the fused-tree builders.
 func stencilAssemble(g *gen) error {
 	for _, p := range g.fn.Params {
 		if p.Ty == nil || runtime.KindOf(p.Ty) == runtime.KObj {
@@ -540,7 +148,7 @@ func stencilStep(g *gen, in *wir.Instr) (step, error) {
 		// Direct calls into the same module (self/mutual recursion after
 		// the SelfName rewrite) and registry calls (separately compiled
 		// units) get the two call stencils; everything else must be a
-		// native in the table.
+		// covered native.
 		if target := g.fn.Module.FuncByName(in.Callee); target != nil {
 			return stencilDirectCall(g, in, target)
 		}
@@ -552,7 +160,8 @@ func stencilStep(g *gen, in *wir.Instr) (step, error) {
 	return nil, stencilErr("%s: op %d", g.fn.Name, in.Op)
 }
 
-// stencilNative patches a table stencil with the instruction's slots.
+// stencilNative emits one native call. The gate keeps the tier on machine
+// scalars; the body is the fused-tree builder's, composing nothing.
 func stencilNative(g *gen, in *wir.Instr) (step, error) {
 	native := nativeOf(in)
 	if native == "" {
@@ -561,42 +170,25 @@ func stencilNative(g *gen, in *wir.Instr) (step, error) {
 	if len(in.Args) < 1 || len(in.Args) > 2 {
 		return nil, stencilErr("%s: %s has %d operands", g.fn.Name, native, len(in.Args))
 	}
-	var regs [2]reg
-	for i, a := range in.Args {
-		if k := runtime.KindOf(a.Type()); k == runtime.KObj {
+	for _, a := range in.Args {
+		if a.Type() == nil || runtime.KindOf(a.Type()) == runtime.KObj {
 			return nil, stencilErr("%s: %s operand %s : %s", g.fn.Name, native, a.Name(), a.Type())
 		}
-		r, err := g.regOf(a)
-		if err != nil {
-			return nil, err
-		}
-		regs[i] = r
 	}
-	var dst reg
-	if in.Ty != types.TVoid {
-		if runtime.KindOf(in.Ty) == runtime.KObj {
-			return nil, stencilErr("%s: %s result %s", g.fn.Name, native, in.Ty)
-		}
-		var err error
-		dst, err = g.regOf(in)
-		if err != nil {
-			return nil, err
-		}
+	if in.Ty != types.TVoid && runtime.KindOf(in.Ty) == runtime.KObj {
+		return nil, stencilErr("%s: %s result %s", g.fn.Name, native, in.Ty)
 	}
-	switch len(in.Args) {
-	case 2:
-		if s, ok := stencils2[skey2{native, kindChar(regs[0].kind), kindChar(regs[1].kind)}]; ok {
-			return s(dst.idx, regs[0].idx, regs[1].idx), nil
-		}
-		return nil, stencilErr("%s: no stencil for %s/%c%c", g.fn.Name, native,
-			kindChar(regs[0].kind), kindChar(regs[1].kind))
-	default:
-		if s, ok := stencils1[skey1{native, kindChar(regs[0].kind)}]; ok {
-			return s(dst.idx, regs[0].idx), nil
-		}
-		return nil, stencilErr("%s: no stencil for %s/%c", g.fn.Name, native,
-			kindChar(regs[0].kind))
+	if native == "pattern_miss" {
+		return patternMissStep, nil
 	}
+	if !g.fusibleProducer(in) {
+		return nil, stencilErr("%s: no stencil for %s", g.fn.Name, native)
+	}
+	dst, err := g.regOf(in)
+	if err != nil {
+		return nil, err
+	}
+	return g.assignTo(dst, in)
 }
 
 // stencilDirectCall is the module-internal call stencil. The full pipeline

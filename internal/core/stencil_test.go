@@ -173,3 +173,25 @@ func BenchmarkFullCompile(b *testing.B) {
 		}
 	}
 }
+
+// TestCompiledShiftsRevertOnOverflow: a shift whose machine result would
+// be wrong (bits lost, sign changed, negative count) throws, so the call
+// reverts to the interpreter on both tiers and returns its answer.
+func TestCompiledShiftsRevertOnOverflow(t *testing.T) {
+	cases := []struct{ head, a, n, want string }{
+		{"BitShiftLeft", "1", "64", "18446744073709551616"},
+		{"BitShiftLeft", "1", "63", "9223372036854775808"},
+		{"BitShiftLeft", "8", "-1", "BitShiftLeft[8, -1]"},
+		{"BitShiftRight", "8", "-1", "BitShiftRight[8, -1]"},
+		{"BitShiftLeft", "-3", "2", "-12"},
+		{"BitShiftRight", "-8", "70", "-1"},
+	}
+	for _, c := range []*Compiler{newStencilCompiler(), newCompiler()} {
+		for _, cse := range cases {
+			ccf := compile(t, c, `Function[{Typed[a, "MachineInteger"], Typed[n, "MachineInteger"]}, `+cse.head+`[a, n]]`)
+			if got := apply(t, ccf, cse.a, cse.n); got != cse.want {
+				t.Errorf("stencil=%v %s[%s, %s] = %s, want %s", c.Stencil, cse.head, cse.a, cse.n, got, cse.want)
+			}
+		}
+	}
+}

@@ -496,7 +496,7 @@ func (in *inferer) solve() error {
 			}
 			switch len(viable) {
 			case 0:
-				return typeErr(fmt.Sprintf("no overload of %s matches %s", a.name, in.s.Apply(a.want)), a.source)
+				return typeErr(fmt.Sprintf("no overload of %s matches %s", a.name, types.Canonical(in.s.Apply(a.want))), a.source)
 			case 1:
 				if err := in.commit(a, viable[0]); err != nil {
 					return err
@@ -536,7 +536,7 @@ func (in *inferer) solve() error {
 				}
 			}
 			if len(viable) == 0 {
-				return typeErr(fmt.Sprintf("no overload of %s matches %s", a.name, in.s.Apply(a.want)), a.source)
+				return typeErr(fmt.Sprintf("no overload of %s matches %s", a.name, types.Canonical(in.s.Apply(a.want))), a.source)
 			}
 			sort.SliceStable(viable, func(x, y int) bool { return viable[x].rank < viable[y].rank })
 			// Declaration order provides the canonical overload ordering,

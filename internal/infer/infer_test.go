@@ -320,3 +320,21 @@ func TestInferUserDeclaredFunction(t *testing.T) {
 		t.Fatalf("MyMin ret = %v", mod.Main().RetTy)
 	}
 }
+
+// TestOverloadDiagnosticIsCanonical pins that a "no overload" message
+// numbers its type variables by first occurrence, so the text does not
+// depend on how many variables earlier compilations minted.
+func TestOverloadDiagnosticIsCanonical(t *testing.T) {
+	src := `Function[{Typed[arg, "MachineInteger"]}, arg + "one"]`
+	_, first := compileToTWIR(t, src)
+	for i := 0; i < 10; i++ {
+		types.NewVar("t")
+	}
+	_, second := compileToTWIR(t, src)
+	if first == nil || second == nil {
+		t.Fatalf("type errors expected, got %v / %v", first, second)
+	}
+	if first.Error() != second.Error() || !strings.Contains(first.Error(), "ret$Main#0") {
+		t.Fatalf("diagnostic depends on process history:\n%s\n%s", first, second)
+	}
+}

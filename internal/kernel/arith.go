@@ -249,6 +249,15 @@ func numPower(base, exp expr.Expr) (expr.Expr, bool) {
 			case n == 0:
 				return expr.FromInt64(1), true
 			case n > 0:
+				if be.IsMachine() {
+					// Bases 0 and ±1 stay machine-sized for any exponent.
+					switch b := be.Int64(); b {
+					case 0, 1:
+						return be, true
+					case -1:
+						return expr.FromInt64(1 - 2*(n&1)), true
+					}
+				}
 				if n <= 64 && be.IsMachine() {
 					// Fast machine path with overflow checking.
 					result := int64(1)
@@ -305,6 +314,9 @@ func numPower(base, exp expr.Expr) (expr.Expr, bool) {
 					return nil, false // exact^exact with big exponent stays symbolic
 				}
 			}
+			if ee, ok := exp.(*expr.Integer); ok && ee.IsMachine() && numKindOf(base) == kindComplex && bc != 0 {
+				return fromComplex(cPowInt(bc, ee.Int64())), true
+			}
 			if numKindOf(base) == kindReal || numKindOf(exp) == kindReal ||
 				numKindOf(base) == kindComplex || numKindOf(exp) == kindComplex {
 				return fromComplex(cPow(bc, ec)), true
@@ -325,6 +337,26 @@ func cPow(b, e complex128) complex128 {
 	p := e * logB
 	m := math.Exp(real(p))
 	return complex(m*math.Cos(imag(p)), m*math.Sin(imag(p)))
+}
+
+// cPowInt is z^n by repeated squaring, as compiled code computes it: exact
+// where the powers are representable (I^-1 is -I, not 6e-17 - I).
+func cPowInt(b complex128, n int64) complex128 {
+	m := uint64(n)
+	if n < 0 {
+		m = -m
+	}
+	out := complex128(1)
+	for ; m > 0; m >>= 1 {
+		if m&1 == 1 {
+			out *= b
+		}
+		b *= b
+	}
+	if n < 0 {
+		return 1 / out
+	}
+	return out
 }
 
 func cAbs(v complex128) float64 { return math.Hypot(real(v), imag(v)) }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"sort"
 
 	"wolfc/internal/expr"
@@ -214,9 +215,14 @@ func biRange(k *Kernel, n *expr.Normal) (expr.Expr, bool) {
 	hiI, ok2 := hi.(*expr.Integer)
 	stI, ok3 := step.(*expr.Integer)
 	if ok1 && ok2 && ok3 && loI.IsMachine() && hiI.IsMachine() && stI.IsMachine() && stI.Int64() != 0 {
-		st := stI.Int64()
-		for v := loI.Int64(); (st > 0 && v <= hiI.Int64()) || (st < 0 && v >= hiI.Int64()); v += st {
+		st, last := stI.Int64(), hiI.Int64()
+		for v := loI.Int64(); (st > 0 && v <= last) || (st < 0 && v >= last); v += st {
 			out = append(out, expr.FromInt64(v))
+			// A step that would leave the int64 range also passes last: stop
+			// instead of wrapping around.
+			if (st > 0 && v > math.MaxInt64-st) || (st < 0 && v < math.MinInt64-st) {
+				break
+			}
 		}
 		return expr.List(out...), true
 	}

@@ -662,3 +662,36 @@ func TestConditionedDefinitions(t *testing.T) {
 		t.Fatalf("MatchQ with /;: %s", got)
 	}
 }
+
+// TestRangeNearInt64Limits: integer Range steps with checked arithmetic, so
+// a range ending near MaxInt64 or MinInt64 stops instead of wrapping past
+// the limit and appending until memory runs out.
+func TestRangeNearInt64Limits(t *testing.T) {
+	cases := map[string]string{
+		"Range[9223372036854775800, 9223372036854775807, 5]":    "{9223372036854775800, 9223372036854775805}",
+		"Range[-9223372036854775800, -9223372036854775808, -5]": "{-9223372036854775800, -9223372036854775805}",
+		"Range[9223372036854775806, 9223372036854775807]":       "{9223372036854775806, 9223372036854775807}",
+		"Range[-9223372036854775807, -9223372036854775808, -1]": "{-9223372036854775807, -9223372036854775808}",
+	}
+	for src, want := range cases {
+		if got := ev(t, src); got != want {
+			t.Errorf("%q = %s, want %s", src, got, want)
+		}
+	}
+}
+
+// TestPowerEdgeBases: bases 0 and ±1 evaluate for any machine exponent, and
+// an inexact complex base to a machine-integer power multiplies exactly
+// where it can, as compiled code does.
+func TestPowerEdgeBases(t *testing.T) {
+	cases := map[string]string{
+		"(-1)^9223372036854775807": "-1",
+		"0^9223372036854775807":    "0",
+		"Complex[0., 1.]^-1":       "Complex[0., -1.]",
+	}
+	for src, want := range cases {
+		if got := ev(t, src); got != want {
+			t.Errorf("%q = %s, want %s", src, got, want)
+		}
+	}
+}

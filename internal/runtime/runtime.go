@@ -118,17 +118,66 @@ func NegI64(a int64) int64 {
 	return -a
 }
 
+// ShlI64 is BitShiftLeft on machine integers. A negative count, or a shift
+// that loses bits or changes the sign, throws: the interpreter's result is
+// a big integer (or, for a negative count, the call stays unevaluated).
+func ShlI64(a, n int64) int64 {
+	if n < 0 || (n >= 64 && a != 0) {
+		Throw(ExcOverflow, "IntegerOverflow")
+	}
+	if n >= 64 {
+		return 0
+	}
+	r := a << uint(n)
+	if r>>uint(n) != a {
+		Throw(ExcOverflow, "IntegerOverflow")
+	}
+	return r
+}
+
+// ShrI64 is BitShiftRight on machine integers (arithmetic, so counts of 64
+// or more give 0 or -1). A negative count throws, as in ShlI64.
+func ShrI64(a, n int64) int64 {
+	if n < 0 {
+		Throw(ExcOverflow, "IntegerOverflow")
+	}
+	return a >> uint64(n)
+}
+
 // PowI64 computes integer powers with overflow checking; negative exponents
 // are a numeric exception (exact rationals require the interpreter).
 func PowI64(base, exp int64) int64 {
 	if exp < 0 {
 		Throw(ExcOverflow, "NegativePower")
 	}
-	result := int64(1)
-	for n := exp; n > 0; n-- {
-		result = MulI64(result, base)
+	// Square-and-multiply: the exponent may be as large as MaxInt64. Squaring
+	// only happens while exponent bits remain, so an overflowing square
+	// means the result overflows too.
+	switch base {
+	case 0:
+		if exp == 0 {
+			return 1
+		}
+		return 0
+	case 1:
+		return 1
+	case -1:
+		if exp%2 == 0 {
+			return 1
+		}
+		return -1
 	}
-	return result
+	result := int64(1)
+	for {
+		if exp&1 == 1 {
+			result = MulI64(result, base)
+		}
+		exp >>= 1
+		if exp == 0 {
+			return result
+		}
+		base = MulI64(base, base)
+	}
 }
 
 // ModI64 is the language's Mod (sign follows the modulus).
@@ -148,11 +197,24 @@ func QuotI64(a, m int64) int64 {
 	if m == 0 {
 		Throw(ExcDivideByZero, "Quotient by zero")
 	}
+	if a == math.MinInt64 && m == -1 {
+		Throw(ExcOverflow, "IntegerOverflow")
+	}
 	q := a / m
 	if a%m != 0 && (a < 0) != (m < 0) {
 		q--
 	}
 	return q
+}
+
+// RealToI64 converts an integral-valued real (a Floor, Ceiling or Round
+// result) to a machine integer; NaN, ±Inf and magnitudes of 2^63 or more
+// throw, since the interpreter's result is a big integer or no integer.
+func RealToI64(f float64) int64 {
+	if !(f >= -0x1p63 && f < 0x1p63) {
+		Throw(ExcOverflow, "IntegerOverflow")
+	}
+	return int64(f)
 }
 
 // PowC computes complex powers.
@@ -169,18 +231,22 @@ func PowC(b, e complex128) complex128 {
 	return complex(m*math.Cos(imag(p)), m*math.Sin(imag(p)))
 }
 
-// PowCInt computes z^n by repeated squaring.
+// PowCInt computes z^n by repeated squaring; a negative n inverts z^|n|
+// (|MinInt64| still fits the unsigned magnitude).
 func PowCInt(b complex128, n int64) complex128 {
+	m := uint64(n)
 	if n < 0 {
-		return 1 / PowCInt(b, -n)
+		m = -m
 	}
 	out := complex128(1)
-	for n > 0 {
-		if n&1 == 1 {
+	for ; m > 0; m >>= 1 {
+		if m&1 == 1 {
 			out *= b
 		}
 		b *= b
-		n >>= 1
+	}
+	if n < 0 {
+		return 1 / out
 	}
 	return out
 }

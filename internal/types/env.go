@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"sort"
 
 	"wolfc/internal/expr"
 )
@@ -99,7 +100,7 @@ func (e *Env) DeclareFunction(d *FuncDef) {
 // independently parsed copies of the same declaration hash identically.
 func canonicalTypeString(t Type) string {
 	var b []byte
-	seen := map[*Var]int{}
+	seen := varNumbering{}
 	var render func(t Type)
 	render = func(t Type) {
 		switch x := t.(type) {
@@ -128,12 +129,7 @@ func canonicalTypeString(t Type) string {
 			b = append(b, ")->"...)
 			render(x.Ret)
 		case *Var:
-			id, ok := seen[x]
-			if !ok {
-				id = len(seen)
-				seen[x] = id
-			}
-			b = append(b, fmt.Sprintf("%s#v%d", x.Name, id)...)
+			b = append(b, fmt.Sprintf("%s#v%d", x.Name, seen.of(x))...)
 		case *ForAll:
 			b = append(b, "forall["...)
 			for i, v := range x.Vars {
@@ -162,12 +158,80 @@ func canonicalTypeString(t Type) string {
 	return string(b)
 }
 
+// varNumbering numbers type variables by first occurrence: the first
+// variable a walk meets is 0, the next new one 1, and so on.
+type varNumbering map[*Var]int
+
+func (n varNumbering) of(v *Var) int {
+	id, ok := n[v]
+	if !ok {
+		id = len(n)
+		n[v] = id
+	}
+	return id
+}
+
+// Canonical returns t with each type variable renumbered by first
+// occurrence, walking in canonicalTypeString's order with its numbering, so
+// a diagnostic that prints a type reads the same whatever the process
+// compiled before.
+func Canonical(t Type) Type {
+	nums := varNumbering{}
+	var rename func(t Type) Type
+	rename = func(t Type) Type {
+		switch x := t.(type) {
+		case *Var:
+			return &Var{Name: x.Name, ID: int64(nums.of(x))}
+		case *Compound:
+			args := make([]Type, len(x.Args))
+			for i, a := range x.Args {
+				args[i] = rename(a)
+			}
+			return &Compound{Ctor: x.Ctor, Args: args}
+		case *Fn:
+			params := make([]Type, len(x.Params))
+			for i, p := range x.Params {
+				params[i] = rename(p)
+			}
+			return &Fn{Params: params, Ret: rename(x.Ret)}
+		case *ForAll:
+			out := &ForAll{}
+			for _, v := range x.Vars {
+				out.Vars = append(out.Vars, rename(v).(*Var))
+			}
+			for _, q := range x.Quals {
+				out.Quals = append(out.Quals, Qual{Var: rename(q.Var).(*Var), Class: q.Class})
+			}
+			out.Body = rename(x.Body)
+			return out
+		}
+		return t
+	}
+	return rename(t)
+}
+
 // Lookup returns all overloads visible for name, nearest environment first.
 func (e *Env) Lookup(name string) []*FuncDef {
 	var out []*FuncDef
 	for env := e; env != nil; env = env.parent {
 		out = append(out, env.funcs[name]...)
 	}
+	return out
+}
+
+// Names returns every function name declared in the chain, sorted.
+func (e *Env) Names() []string {
+	seen := map[string]bool{}
+	var out []string
+	for env := e; env != nil; env = env.parent {
+		for name := range env.funcs {
+			if !seen[name] {
+				seen[name] = true
+				out = append(out, name)
+			}
+		}
+	}
+	sort.Strings(out)
 	return out
 }
 

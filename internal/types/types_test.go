@@ -303,3 +303,14 @@ func TestTypeProductAndProjection(t *testing.T) {
 		t.Fatal("projection of non-product must fail")
 	}
 }
+
+func TestCanonicalNumbersByFirstOccurrence(t *testing.T) {
+	a, b := NewVar("a"), NewVar("b")
+	ty := &Fn{Params: []Type{b, TensorOf(a, 1)}, Ret: b}
+	if got, want := Canonical(ty).String(), "{b#0, Tensor[a#1, 1]} -> b#0"; got != want {
+		t.Fatalf("Canonical = %s, want %s", got, want)
+	}
+	if got, want := canonicalTypeString(ty), "(b#v0,Tensor[a#v1,1])->b#v0"; got != want {
+		t.Fatalf("canonicalTypeString = %s, want %s", got, want)
+	}
+}

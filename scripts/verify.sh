@@ -66,6 +66,20 @@ cmp "$tmp/plain.out" "$tmp/o2.out" || {
     exit 1
 }
 cat "$tmp/stencil.stats"
+# -autocompile-stencil-only falls back to O2 on any shape the stencil tier
+# does not cover, so bit-identity alone would pass a tier that covered
+# nothing. Require at least the stencil promotions the tier made when this
+# gate was added (7 on this corpus, 11 on the pattern corpus below).
+stencil_promotions() { sed -n 's/.*(\([0-9]*\) stencil,.*/\1/p' "$1" | tail -n 1; }
+require_stencil() {
+    n="$(stencil_promotions "$1")"
+    if [ "${n:-0}" -lt "$2" ]; then
+        echo "verify: FAIL — stencil-only run made ${n:-0} stencil promotions on $3, want >= $2"
+        cat "$1"
+        exit 1
+    fi
+}
+require_stencil "$tmp/stencil.stats" 7 examples/autocompile/corpus.wl
 
 echo "== pattern gate: dispatch-tree fuzz corpus is bit-identical across all tiers =="
 # Compiled pattern dispatch (ISSUE 10): the generated corpus
@@ -95,6 +109,9 @@ for mode in "" "-autocompile-stencil-only" "-autocompile-no-stencil"; do
         cat "$tmp/pat.stats"
         exit 1
     }
+    if [ "$mode" = "-autocompile-stencil-only" ]; then
+        require_stencil "$tmp/pat.stats" 11 examples/patterns/corpus.wl
+    fi
 done
 cat "$tmp/pat.stats"
 # The checked-in corpus must be exactly what the generator emits.
