@@ -2,7 +2,7 @@ package main
 
 // The tiered-execution suite (ISSUE 5): the same DownValue definitions are
 // timed on a plain interpreter and on a kernel with -autocompile semantics
-// (profile-guided promotion through the process function registry), with the
+// (profile-guided promotion through the kernel's function registry), with the
 // results required to be bit-identical. A second comparison shows what the
 // registry buys a compiled caller: reaching the promoted definition as a
 // direct unboxed call instead of a boxed KernelFunction escape.
@@ -15,14 +15,12 @@ import (
 
 	"wolfc/internal/core"
 	"wolfc/internal/expr"
-	"wolfc/internal/fnreg"
 	"wolfc/internal/kernel"
 	"wolfc/internal/parser"
 )
 
 func autocompileSuite() {
 	fmt.Println("=== Tiered execution: hot DownValues auto-compiled through the function registry ===")
-	defer fnreg.Default().Reset()
 
 	const fibN = 22 // small enough for the interpreter series
 	defs := []string{

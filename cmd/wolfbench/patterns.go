@@ -16,14 +16,12 @@ import (
 
 	"wolfc/internal/core"
 	"wolfc/internal/expr"
-	"wolfc/internal/fnreg"
 	"wolfc/internal/kernel"
 	"wolfc/internal/parser"
 )
 
 func patternsSuite() {
 	fmt.Println("=== Pattern dispatch: guarded DownValues compiled to decision trees ===")
-	defer fnreg.Default().Reset()
 
 	mustRun := func(k *kernel.Kernel, e expr.Expr) expr.Expr {
 		out, err := k.Run(e)
@@ -134,7 +132,6 @@ func patternsSuite() {
 		fmt.Printf("%-18s %d promoted, %d compiled dispatches, %d guard misses, %d soft fallbacks\n",
 			"", s.Promotions, s.CompiledCalls, s.GuardMisses, s.SoftFallbacks)
 		tr.Close()
-		fnreg.Default().Reset()
 	}
 	fmt.Println()
 }

@@ -33,7 +33,7 @@ func compileSrc(t *testing.T, src string) *Program {
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	if err := infer.Infer(mod, tenv); err != nil {
+	if err := infer.Infer(mod, tenv, nil); err != nil {
 		t.Fatalf("infer: %v", err)
 	}
 	if err := passes.Run(mod, tenv, passes.DefaultOptions()); err != nil {
@@ -177,7 +177,7 @@ func TestNaiveConstantsOption(t *testing.T) {
 	res, _ := binding.Analyze(macro.ExpandSlots(e))
 	tenv := types.Builtin()
 	mod, _ := wir.Lower(res, tenv)
-	if err := infer.Infer(mod, tenv); err != nil {
+	if err := infer.Infer(mod, tenv, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := passes.Run(mod, tenv, passes.DefaultOptions()); err != nil {

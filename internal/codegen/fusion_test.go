@@ -32,7 +32,7 @@ func compileSrcFuse(t *testing.T, src string, fuse int) *Program {
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	if err := infer.Infer(mod, tenv); err != nil {
+	if err := infer.Infer(mod, tenv, nil); err != nil {
 		t.Fatalf("infer: %v", err)
 	}
 	if err := passes.Run(mod, tenv, passes.DefaultOptions()); err != nil {

@@ -166,9 +166,9 @@ func lowerEdge(src string, stage int) (*wir.Module, error) {
 		return nil, err
 	}
 	if stage == edgeQuick {
-		return mod, infer.Quick(mod, tenv)
+		return mod, infer.Quick(mod, tenv, nil)
 	}
-	if err := infer.Infer(mod, tenv); err != nil || stage == edgeTyped {
+	if err := infer.Infer(mod, tenv, nil); err != nil || stage == edgeTyped {
 		return mod, err
 	}
 	return mod, passes.Run(mod, tenv, passes.DefaultOptions())

@@ -125,7 +125,7 @@ func (c *Compiler) loadArtifact(stableKey string, fn expr.Expr, req CompileReque
 		Program:  prog,
 		RetType:  main.RetTy,
 		compiler: c, // rebind to the hosting kernel (install.go's model)
-		Metrics:  obs.RegisterFuncScoped(displayName(req.SelfName, fn), backend, c.reg().ID()),
+		Metrics:  obs.RegisterFuncScoped(displayName(req.SelfName, fn), backend, c.reg.ID()),
 	}
 	if c.ProfileLevel > 0 {
 		ccf.Metrics.SetDetail(ccf.profileDetail)

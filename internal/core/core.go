@@ -60,12 +60,6 @@ type Compiler struct {
 	// codegen.ErrStencilUnsupported/infer.ErrQuickUnsupported so callers
 	// can fall back to the full pipeline.
 	Stencil bool
-	// Registry is the function-registry namespace compiles resolve
-	// cross-unit calls against (nil = the process-wide default). Engines
-	// set it so concurrent sessions never bind each other's promoted
-	// definitions; it also keys the in-memory compile cache alongside the
-	// kernel identity.
-	Registry *fnreg.Registry
 	// DisableImplicitSpan stops this compiler from reading the kernel's
 	// active request span for trace correlation. The tiering workers set it:
 	// a background compile runs concurrently with whatever request the
@@ -77,33 +71,44 @@ type Compiler struct {
 	// repeated implicit compiles (FindRoot's solver loop) skip macro
 	// expansion and hashing. Generationally evicted; see cache.go.
 	memo fastMemo
+	// reg is the hosting kernel's function registry (registryOf), read
+	// once here: compiles resolve cross-unit calls against it, so
+	// concurrent kernels never bind each other's promoted definitions.
+	// nil for a standalone compiler.
+	reg *fnreg.Registry
 }
 
-// NewCompiler builds a compiler hosted in k with the default environments
-// and the default function registry.
+// NewCompiler builds a compiler hosted in k with the default environments,
+// resolving registry calls against k's function registry.
 func NewCompiler(k *kernel.Kernel) *Compiler {
-	return NewCompilerWith(k, nil)
-}
-
-// NewCompilerWith builds a compiler hosted in k resolving registry calls
-// against reg (nil = the process-wide default registry).
-func NewCompilerWith(k *kernel.Kernel, reg *fnreg.Registry) *Compiler {
 	return &Compiler{
 		Kernel:   k,
 		MacroEnv: macro.DefaultEnv(),
 		TypeEnv:  types.Builtin(),
 		Options:  passes.DefaultOptions(),
-		Registry: reg,
+		reg:      registryOf(k),
 	}
 }
 
-// reg returns the compiler's registry namespace, defaulting to the
-// process-wide instance.
-func (c *Compiler) reg() *fnreg.Registry {
-	if c.Registry != nil {
-		return c.Registry
+// registryAssoc is the kernel attachment holding the kernel's function
+// registry.
+const registryAssoc = "core.registry"
+
+// registryOf is the one place a kernel's function registry is resolved:
+// the registry AttachRegistry gave k, else an unlabelled one created on
+// first use. A nil kernel (standalone compile) has none.
+func registryOf(k *kernel.Kernel) *fnreg.Registry {
+	if k == nil {
+		return nil
 	}
-	return fnreg.Default()
+	return k.AssocOrStore(registryAssoc, func() any { return fnreg.NewRegistry("") }).(*fnreg.Registry)
+}
+
+// AttachRegistry makes reg the function registry of k. Call it before the
+// first compiler or tiering engine is built on k (engine.New does, with an
+// engine-labelled registry): each reads the registry once when it is built.
+func AttachRegistry(k *kernel.Kernel, reg *fnreg.Registry) {
+	k.SetAssoc(registryAssoc, reg)
 }
 
 // activeSpan reads the request span the hosting kernel is currently
@@ -118,13 +123,8 @@ func (c *Compiler) activeSpan() obs.SpanContext {
 }
 
 // engineLabel is the engine id trace events from this compiler carry when
-// no span supplies one ("" for the process-default namespace).
-func (c *Compiler) engineLabel() string {
-	if c.Registry != nil {
-		return c.Registry.ID()
-	}
-	return ""
-}
+// no span supplies one ("" outside an engine).
+func (c *Compiler) engineLabel() string { return c.reg.ID() }
 
 // kernelEngine adapts the kernel to the runtime's Engine interface.
 type kernelEngine struct{ k *kernel.Kernel }
@@ -263,7 +263,7 @@ func (c *Compiler) FunctionCompileRequest(fn expr.Expr, req CompileRequest) (ccf
 		RetType:  main.RetTy,
 		compiler: c,
 		Report:   rep,
-		Metrics:  obs.RegisterFuncScoped(displayName(req.SelfName, fn), "closure", c.reg().ID()),
+		Metrics:  obs.RegisterFuncScoped(displayName(req.SelfName, fn), "closure", c.reg.ID()),
 	}
 	if c.ProfileLevel > 0 {
 		ccf.Metrics.SetDetail(ccf.profileDetail)
@@ -336,7 +336,7 @@ func (c *Compiler) buildTWIR(selfName string, fn expr.Expr, src *diag.Source, re
 		return nil, err
 	}
 	t := startTimer(rep)
-	if err := infer.InferWith(mod, c.TypeEnv, c.reg()); err != nil {
+	if err := infer.Infer(mod, c.TypeEnv, c.reg); err != nil {
 		return nil, err
 	}
 	rep.stage("infer", t)
@@ -390,7 +390,7 @@ func (c *Compiler) stencilCompile(fn expr.Expr, req CompileRequest, rep *Compile
 		return nil, err
 	}
 	t := startTimer(rep)
-	if err := infer.QuickWith(mod, c.TypeEnv, c.reg()); err != nil {
+	if err := infer.Quick(mod, c.TypeEnv, c.reg); err != nil {
 		return nil, err
 	}
 	rep.stage("quick-infer", t)
@@ -414,7 +414,7 @@ func (c *Compiler) stencilCompile(fn expr.Expr, req CompileRequest, rep *Compile
 		RetType:  main.RetTy,
 		compiler: c,
 		Report:   rep,
-		Metrics:  obs.RegisterFuncScoped(displayName(req.SelfName, fn), "stencil", c.reg().ID()),
+		Metrics:  obs.RegisterFuncScoped(displayName(req.SelfName, fn), "stencil", c.reg.ID()),
 	}
 	for _, p := range main.Params {
 		if !p.Capture {

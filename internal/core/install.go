@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"wolfc/internal/expr"
-	"wolfc/internal/fnreg"
 	"wolfc/internal/kernel"
 )
 
@@ -39,17 +38,10 @@ var symCCF = expr.Sym("CompiledCodeFunction")
 
 // Install registers FunctionCompile and the CompiledCodeFunction applier in
 // the kernel, returning the compiler instance used (so callers can extend
-// its environments). Compiles resolve against the default function
-// registry; engines use InstallWith.
+// its environments). Compiles resolve against the kernel's own function
+// registry.
 func Install(k *kernel.Kernel) *Compiler {
-	return InstallWith(k, nil)
-}
-
-// InstallWith is Install with an explicit function-registry namespace (nil
-// = the process-wide default), so the kernel's FunctionCompile builtin
-// compiles inside the owning engine's namespace.
-func InstallWith(k *kernel.Kernel, reg *fnreg.Registry) *Compiler {
-	c := NewCompilerWith(k, reg)
+	c := NewCompiler(k)
 	k.Register("FunctionCompile", 0, func(k *kernel.Kernel, n *expr.Normal) (expr.Expr, bool) {
 		if n.Len() < 1 {
 			return n, false

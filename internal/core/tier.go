@@ -220,7 +220,7 @@ type tierJob struct {
 type Tiering struct {
 	k   *kernel.Kernel
 	c   *Compiler       // dedicated compiler: env lookups and the engine handle
-	reg *fnreg.Registry // the engine's registry namespace
+	reg *fnreg.Registry // the kernel's registry namespace
 	pol TierPolicy
 
 	mu    sync.Mutex
@@ -245,32 +245,23 @@ type Tiering struct {
 }
 
 // EnableTiering attaches a tiered-execution engine to k and starts its
-// background compile pool, promoting into the process-wide default
-// registry. Call Close to detach and stop the workers. The engine installs
-// the kernel's dispatch hook and definition observer; only one engine per
-// kernel.
+// background compile pool. Promotions Reserve/Install into the kernel's
+// function registry, workers compile against it, and redefinition
+// invalidation retires from it, so tiered kernels in one process promote
+// the same symbol names independently. Call Close to detach and stop the
+// workers. The engine installs the kernel's dispatch hook and definition
+// observer; only one engine per kernel.
 func EnableTiering(k *kernel.Kernel, pol TierPolicy) *Tiering {
-	return EnableTieringWith(k, nil, pol)
-}
-
-// EnableTieringWith is EnableTiering with an explicit function-registry
-// namespace (nil = the process-wide default): promotions Reserve/Install
-// into reg, workers compile against it, and redefinition invalidation
-// retires from it, so concurrent engines tier the same symbol names
-// independently.
-func EnableTieringWith(k *kernel.Kernel, reg *fnreg.Registry, pol TierPolicy) *Tiering {
-	if reg == nil {
-		reg = fnreg.Default()
-	}
+	c := NewCompiler(k)
 	t := &Tiering{
 		k:    k,
-		c:    NewCompilerWith(k, reg),
-		reg:  reg,
+		c:    c,
+		reg:  c.reg,
 		pol:  pol.withDefaults(),
 		syms: map[*expr.Symbol]*symState{},
 		jobs: make(chan tierJob, 64),
 	}
-	if id := reg.ID(); id != "" {
+	if id := c.reg.ID(); id != "" {
 		t.releaseGauges = obs.RegisterEngineGauges(id, func() []obs.Gauge {
 			return []obs.Gauge{
 				{Name: "tier_compile_queue_depth", Value: float64(t.queueDepth.Load()), Engine: id},
@@ -630,8 +621,8 @@ func (t *Tiering) buildGroup(root *symState) ([]*tierMember, bool) {
 // share mutable front-end state; all workers serve one kernel.
 func (t *Tiering) worker() {
 	defer t.wg.Done()
-	full := NewCompilerWith(t.k, t.reg)
-	stencil := NewCompilerWith(t.k, t.reg)
+	full := NewCompiler(t.k)
+	stencil := NewCompiler(t.k)
 	stencil.Stencil = true
 	// Workers compile asynchronously: the kernel's live span belongs to
 	// whatever request is evaluating NOW, not the one that queued this job,
@@ -788,7 +779,7 @@ func (t *Tiering) compileJob(full, stencil *Compiler, job tierJob) {
 			merged.Funcs = append(merged.Funcs, sf)
 		}
 	}
-	if err := infer.InferWith(merged, full.TypeEnv, t.reg); err != nil {
+	if err := infer.Infer(merged, full.TypeEnv, t.reg); err != nil {
 		fail()
 		return
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"wolfc/internal/expr"
-	"wolfc/internal/fnreg"
 	"wolfc/internal/kernel"
 	"wolfc/internal/parser"
 )
@@ -23,7 +22,7 @@ func TestTierStencilTwoHop(t *testing.T) {
 	k.Out = io.Discard
 	Install(k)
 	tr := EnableTiering(k, TierPolicy{Threshold: 4, StencilThreshold: 2})
-	t.Cleanup(func() { tr.Close(); fnreg.Default().Reset() })
+	t.Cleanup(tr.Close)
 	plain := kernel.New()
 	plain.Out = io.Discard
 	Install(plain)
@@ -57,7 +56,7 @@ func TestTierStencilTwoHop(t *testing.T) {
 		t.Fatalf("expected thFib on the optimised tier: %+v", s)
 	}
 	// The upgrade must not have retired the entry (re-point in place).
-	ent, ok := fnreg.Default().Lookup("thFib")
+	ent, ok := registryOf(k).Lookup("thFib")
 	if !ok || !ent.Installed() {
 		t.Fatal("registry entry lost across the upgrade hop")
 	}
@@ -75,7 +74,7 @@ func TestTierStencilOnly(t *testing.T) {
 	k.Out = io.Discard
 	Install(k)
 	tr := EnableTiering(k, TierPolicy{Threshold: 3, StencilThreshold: 2, DisableO2: true})
-	t.Cleanup(func() { tr.Close(); fnreg.Default().Reset() })
+	t.Cleanup(tr.Close)
 	plain := kernel.New()
 	plain.Out = io.Discard
 	Install(plain)
@@ -108,7 +107,7 @@ func TestTierNoStencil(t *testing.T) {
 	k.Out = io.Discard
 	Install(k)
 	tr := EnableTiering(k, TierPolicy{Threshold: 2, DisableStencil: true})
-	t.Cleanup(func() { tr.Close(); fnreg.Default().Reset() })
+	t.Cleanup(tr.Close)
 
 	runK(t, k, `nsFib[n_] := If[n < 2, n, nsFib[n - 1] + nsFib[n - 2]]`)
 	runK(t, k, `nsFib[15]`)
@@ -125,13 +124,12 @@ func TestTierNoStencil(t *testing.T) {
 }
 
 // TestTierParallelPromotionRedefineRace hammers the bounded worker pool:
-// two kernels on two goroutines (the registry is process-global), each
+// two kernels on two goroutines, each
 // cycling redefinition → hot calls → promotion → upgrade without waiting
 // for the pool between rounds, so installs, upgrades, retires and stale
 // discards race the evaluating goroutines. Run under -race; results must
 // track the latest definition at every step.
 func TestTierParallelPromotionRedefineRace(t *testing.T) {
-	t.Cleanup(fnreg.Default().Reset)
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
 	for g := 0; g < 2; g++ {

@@ -6,13 +6,12 @@ import (
 	"time"
 
 	"wolfc/internal/expr"
-	"wolfc/internal/fnreg"
 	"wolfc/internal/kernel"
 	"wolfc/internal/parser"
 )
 
-// Tiered-execution tests (ISSUE 5). The registry is process-global, so
-// every test uses its own symbol names and resets the registry on exit.
+// Tiered-execution tests. Each kernel owns its function registry, so a
+// test's promotions die with its kernel.
 
 func newTieredKernel(t *testing.T, threshold uint64) (*kernel.Kernel, *Tiering) {
 	t.Helper()
@@ -20,10 +19,7 @@ func newTieredKernel(t *testing.T, threshold uint64) (*kernel.Kernel, *Tiering) 
 	k.Out = io.Discard
 	Install(k)
 	tr := EnableTiering(k, TierPolicy{Threshold: threshold})
-	t.Cleanup(func() {
-		tr.Close()
-		fnreg.Default().Reset()
-	})
+	t.Cleanup(tr.Close)
 	return k, tr
 }
 
@@ -66,7 +62,7 @@ func TestTierPromoteAndRedefine(t *testing.T) {
 	if !tr.Compiled(expr.Sym("tpFib")) {
 		t.Fatalf("tpFib was not promoted; stats %+v", tr.Stats())
 	}
-	ent, ok := fnreg.Default().Lookup("tpFib")
+	ent, ok := registryOf(k).Lookup("tpFib")
 	if !ok || !ent.Installed() {
 		t.Fatal("registry entry for tpFib missing or not installed")
 	}
@@ -85,7 +81,7 @@ func TestTierPromoteAndRedefine(t *testing.T) {
 	if tr.Compiled(expr.Sym("tpFib")) {
 		t.Fatal("tpFib still on the compiled tier after redefinition")
 	}
-	if ent, ok := fnreg.Default().Lookup("tpFib"); ok && ent.Installed() {
+	if ent, ok := registryOf(k).Lookup("tpFib"); ok && ent.Installed() {
 		t.Fatal("registry entry survived redefinition")
 	}
 	if out := runK(t, k, `tpFib[26]`); expr.InputForm(out) != "42" {
@@ -102,7 +98,7 @@ func TestTierPromoteAndRedefine(t *testing.T) {
 		t.Fatal("tcSq was not promoted")
 	}
 	runK(t, k, `Clear[tcSq]`)
-	if _, ok := fnreg.Default().Lookup("tcSq"); ok {
+	if _, ok := registryOf(k).Lookup("tcSq"); ok {
 		t.Fatal("Clear left the registry entry live")
 	}
 	if out := runK(t, k, `tcSq[7]`); expr.InputForm(out) != "tcSq[7]" {
@@ -200,7 +196,7 @@ func TestTierMutualRecursion(t *testing.T) {
 	}
 
 	// The cross-unit call is a direct registry call in the compiled IR.
-	entA, ok := fnreg.Default().Lookup("tmA")
+	entA, ok := registryOf(k).Lookup("tmA")
 	if !ok || !entA.Installed() {
 		t.Fatal("tmA registry entry missing")
 	}
@@ -244,10 +240,10 @@ func TestTierMutualRecursion(t *testing.T) {
 	// Redefining one member cascades through the registry: both entries
 	// retire (tmA's compiled code bakes a call to tmB's entry).
 	runK(t, k, `tmB[n_] := 7`)
-	if _, ok := fnreg.Default().Lookup("tmB"); ok {
+	if _, ok := registryOf(k).Lookup("tmB"); ok {
 		t.Fatal("tmB entry survived redefinition")
 	}
-	if ent, ok := fnreg.Default().Lookup("tmA"); ok && ent.Installed() {
+	if ent, ok := registryOf(k).Lookup("tmA"); ok && ent.Installed() {
 		t.Fatal("tmA entry survived retirement of its dependency")
 	}
 	if tr.Compiled(expr.Sym("tmA")) {

@@ -10,7 +10,7 @@
 // is the per-tenant unit that fixes this: everything definition-scoped
 // (DownValues, registry entries, tiering state, the numerics compiler
 // memo) lives inside the Engine, while everything content-addressed (the
-// sharded compile cache's stable-key artifact tier, interned symbols,
+// compile cache's stable-key artifact tier, interned symbols,
 // obs counters) stays process-shared so concurrent sessions warm each
 // other's compiles without observing each other's definitions.
 //
@@ -35,7 +35,6 @@ import (
 	"wolfc/internal/expr"
 	"wolfc/internal/fnreg"
 	"wolfc/internal/kernel"
-	"wolfc/internal/numerics"
 	"wolfc/internal/obs"
 	"wolfc/internal/parser"
 	"wolfc/internal/vm"
@@ -81,17 +80,14 @@ func New(opts Options) *Engine {
 	k := kernel.New()
 	k.Out = io.Discard // Eval captures printed output per call
 	reg := fnreg.NewRegistry(id)
+	core.AttachRegistry(k, reg)
 	if opts.LegacyVM {
 		vm.Install(k)
 	}
-	c := core.InstallWith(k, reg)
-	// Implicit numerics compiles (FindRoot's Newton loop) must resolve and
-	// cache inside this namespace too, and die with the engine instead of
-	// leaking through a process-global map.
-	numerics.UseCompiler(k, c)
+	c := core.Install(k)
 	e := &Engine{ID: id, Kernel: k, Compiler: c, Registry: reg}
 	if opts.Tiering {
-		e.Tiering = core.EnableTieringWith(k, reg, opts.Tier)
+		e.Tiering = core.EnableTiering(k, opts.Tier)
 	}
 	return e
 }

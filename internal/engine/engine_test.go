@@ -10,7 +10,9 @@ import (
 	"wolfc/internal/core"
 	"wolfc/internal/engine"
 	"wolfc/internal/expr"
-	"wolfc/internal/fnreg"
+	"wolfc/internal/kernel"
+	"wolfc/internal/numerics"
+	"wolfc/internal/parser"
 )
 
 // tierPol promotes fast: stencil after 2 dispatches, O2 upgrade after 4
@@ -94,7 +96,7 @@ func TestIsolationDifferential(t *testing.T) {
 	}
 
 	// The namespaces must really be disjoint: each engine holds its own
-	// live entry for "f", and neither leaked into the process default.
+	// live entry for "f", and a compile on a bare kernel sees neither.
 	entA, okA := eA.Registry.Lookup("f")
 	entB, okB := eB.Registry.Lookup("f")
 	if !okA || !okB {
@@ -103,8 +105,9 @@ func TestIsolationDifferential(t *testing.T) {
 	if entA == entB {
 		t.Fatal("both engines share one registry entry for f")
 	}
-	if _, ok := fnreg.Default().Lookup("f"); ok {
-		t.Fatal("engine promotion leaked into the process-default registry")
+	bare := core.NewCompiler(kernel.New())
+	if _, err := bare.FunctionCompile(parser.MustParse(`Function[{Typed[n, "MachineInteger"]}, f[n] + 1]`)); err == nil {
+		t.Fatal("a bare kernel's compile resolved f through an engine's registry")
 	}
 }
 
@@ -173,8 +176,10 @@ func TestCloseReleases(t *testing.T) {
 	if len(e.Registry.Names()) == 0 {
 		t.Fatal("expected a live registry entry before Close")
 	}
-	// FindRoot memoises a numerics compiler on the kernel.
-	if _, err := e.Eval("FindRoot[x^2 - 2, {x, 1.0}]", 0); err != nil {
+	// An auto-compiled FindRoot memoises a numerics compiler on the kernel.
+	x := expr.Sym("x")
+	eq := expr.NewS("Plus", expr.NewS("Power", x, expr.FromInt64(2)), expr.FromInt64(-2))
+	if _, err := numerics.FindRoot(e.Kernel, eq, x, 1.0, numerics.DefaultFindRootOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := e.Kernel.Assoc("numerics.compiler"); !ok {

@@ -12,12 +12,11 @@
 // without a cycle. Compiled values are stored as opaque `any` (in practice
 // *codegen.FuncVal) and asserted by the backend.
 //
-// Scope (ISSUE 8): the registry is an instance type — one *Registry per
-// engine (kernel + compiler + tiering bundle), so two kernels in one
-// process never cross-wire promoted definitions. The former process-wide
-// package-level API survives as deprecated shims over a default instance
-// (default.go) while call sites migrate; no other package-level mutable
-// registry state exists.
+// Scope: the registry is an instance type — one *Registry per kernel
+// (internal/core attaches it to the kernel; an engine hands its kernel an
+// engine-labelled one), so two kernels in one process never cross-wire
+// promoted definitions. The package holds no mutable registry state of its
+// own.
 //
 // Lifecycle: an entry is Reserved (signature visible to inference, not yet
 // callable), then Installed (callable), then Retired (permanently dead).
@@ -109,7 +108,7 @@ type Registry struct {
 	live map[string]*Entry
 
 	// Lifetime traffic counters for this instance (the process-wide
-	// aggregates in default.go ride the obs counters instead).
+	// aggregates ride the obs counters below).
 	reserves atomic.Uint64
 	installs atomic.Uint64
 	upgrades atomic.Uint64
@@ -138,27 +137,37 @@ var (
 	ctrRetires  = obs.NewCounter("fnreg_retires")
 )
 
-// NewRegistry creates an isolated registry namespace. id labels the
-// instance's gauges on /metrics (`wolfc_fnreg_entries{engine="<id>"}`);
-// an empty id emits the unlabeled legacy series (the default instance).
-// Engine-labeled gauge registration is capacity-bounded in obs (thousands
-// of short-lived sessions degrade to unlabeled aggregates, counted, not
-// unbounded label cardinality); call Release when the owning engine shuts
-// down to retire every entry and free the label slot.
+// NewRegistry creates an isolated registry namespace. A non-empty id
+// labels the instance's gauges on /metrics
+// (`wolfc_fnreg_entries{engine="<id>"}`); call Release when the owning
+// engine shuts down to retire every entry and free the label slot.
+// Engine-labelled gauge registration is capacity-bounded in obs (thousands
+// of short-lived sessions degrade to unlabelled aggregates, counted, not
+// unbounded label cardinality). An unlabelled registry (a bare kernel's)
+// publishes no gauges, so it holds no process-wide state and dies with its
+// kernel.
 func NewRegistry(id string) *Registry {
 	r := &Registry{id: id, live: map[string]*Entry{}}
-	r.releaseGauges = obs.RegisterEngineGauges(id, func() []obs.Gauge {
-		s := r.Stats()
-		return []obs.Gauge{
-			{Name: "fnreg_entries", Value: float64(s.Live), Engine: id},
-			{Name: "fnreg_entries_installed", Value: float64(s.Installed), Engine: id},
-		}
-	})
+	if id != "" {
+		r.releaseGauges = obs.RegisterEngineGauges(id, func() []obs.Gauge {
+			s := r.Stats()
+			return []obs.Gauge{
+				{Name: "fnreg_entries", Value: float64(s.Live), Engine: id},
+				{Name: "fnreg_entries_installed", Value: float64(s.Installed), Engine: id},
+			}
+		})
+	}
 	return r
 }
 
-// ID returns the engine label the registry was created with.
-func (r *Registry) ID() string { return r.id }
+// ID returns the engine label the registry was created with ("" for a nil
+// or unlabelled registry).
+func (r *Registry) ID() string {
+	if r == nil {
+		return ""
+	}
+	return r.id
+}
 
 // Stats snapshots the registry's live state and lifetime traffic.
 func (r *Registry) Stats() RegistryStats {

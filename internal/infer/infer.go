@@ -29,16 +29,11 @@ func typeErr(msg string, source expr.Expr) error {
 
 // Infer annotates every value in the module with a ground type, turning the
 // WIR into TWIR (paper §4.5). Overload choices are recorded on each call
-// instruction under the "overload" property. Registry calls resolve against
-// the process-wide default registry; engine-scoped compiles use InferWith.
-func Infer(mod *wir.Module, env *types.Env) error {
-	return InferWith(mod, env, fnreg.Default())
-}
-
-// InferWith is Infer with an explicit function-registry namespace: unknown
-// callees resolve against reg, so a compile running inside one engine never
-// binds a call to another engine's promoted definitions.
-func InferWith(mod *wir.Module, env *types.Env, reg *fnreg.Registry) error {
+// instruction under the "overload" property. Unknown callees resolve
+// against reg, the hosting kernel's function registry, so a compile never
+// binds a call to another kernel's promoted definitions; a nil reg makes
+// no registry calls.
+func Infer(mod *wir.Module, env *types.Env, reg *fnreg.Registry) error {
 	in := &inferer{
 		env:   env,
 		reg:   reg,

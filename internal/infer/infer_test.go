@@ -30,7 +30,7 @@ func compileToTWIR(t *testing.T, src string) (*wir.Module, error) {
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	return mod, Infer(mod, tenv)
+	return mod, Infer(mod, tenv, nil)
 }
 
 func mustTWIR(t *testing.T, src string) *wir.Module {
@@ -313,7 +313,7 @@ func TestInferUserDeclaredFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Infer(mod, tenv); err != nil {
+	if err := Infer(mod, tenv, nil); err != nil {
 		t.Fatal(err)
 	}
 	if mod.Main().RetTy != types.TReal64 {

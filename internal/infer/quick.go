@@ -57,15 +57,9 @@ type quick struct {
 // Quick type-annotates mod in one forward pass, producing the same TWIR
 // contract as Infer (ground value types, overload/regcall props, Typed
 // module) for the scalar fragment, or an ErrQuickUnsupported-wrapped error
-// when the module needs the full solver. Registry calls resolve against the
-// process-wide default registry; engine-scoped compiles use QuickWith.
-func Quick(mod *wir.Module, env *types.Env) error {
-	return QuickWith(mod, env, fnreg.Default())
-}
-
-// QuickWith is Quick with an explicit function-registry namespace (the same
-// contract as InferWith).
-func QuickWith(mod *wir.Module, env *types.Env, reg *fnreg.Registry) error {
+// when the module needs the full solver. Registry calls resolve against reg
+// as in Infer (nil = none).
+func Quick(mod *wir.Module, env *types.Env, reg *fnreg.Registry) error {
 	// Presize the value-type table: one entry per param, instruction and phi
 	// is the exact steady state, and growth rehashes cost a measurable slice
 	// of the whole baseline compile.

@@ -275,7 +275,7 @@ func numPower(base, exp expr.Expr) (expr.Expr, bool) {
 						return expr.FromInt64(result), true
 					}
 				}
-				if n > 1<<20 {
+				if n > maxExactExponent {
 					return nil, false // refuse absurd exact powers
 				}
 				return expr.FromBig(new(big.Int).Exp(be.Big(), big.NewInt(n), nil)), true
@@ -394,10 +394,28 @@ func numCompare(a, b expr.Expr) (int, bool) {
 	return 0, true
 }
 
+// maxExactExponent bounds the exact results the kernel builds: a Power
+// exponent or BitShiftLeft count above it leaves the call unevaluated
+// instead of asking for a result of gigabytes.
+const maxExactExponent = 1 << 20
+
+// isNaN reports whether e is a machine-real NaN.
+func isNaN(e expr.Expr) bool {
+	r, ok := e.(*expr.Real)
+	return ok && math.IsNaN(r.V)
+}
+
+// unordered reports whether a numeric pair includes a NaN. Such a pair
+// compares as IEEE 754 says: every ordered comparison and equality are
+// false, inequality is true.
+func unordered(a, b expr.Expr) bool {
+	return (isNaN(a) || isNaN(b)) && isNumeric(a) && isNumeric(b)
+}
+
 // numEqual tests numeric equality across the tower (1 == 1.0 is True).
 func numEqual(a, b expr.Expr) (bool, bool) {
 	if c, ok := numCompare(a, b); ok {
-		return c == 0, true
+		return c == 0 && !unordered(a, b), true
 	}
 	ca, oka := toComplex(a)
 	cb, okb := toComplex(b)

@@ -199,7 +199,7 @@ func (k *Kernel) iterate(spec expr.Expr, fn func(bind func(expr.Expr) expr.Expr)
 					return pattern.Substitute(e, pattern.Bindings{name: val})
 				}
 			}
-			if !fn(bind) {
+			if !fn(bind) || stepLeavesInt64(v, st) {
 				return
 			}
 		}

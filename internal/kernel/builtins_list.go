@@ -195,6 +195,13 @@ func biMost(k *Kernel, n *expr.Normal) (expr.Expr, bool) {
 	return t.WithArgs(t.Args()[:t.Len()-1]...), true
 }
 
+// stepLeavesInt64 reports whether v + st falls outside the int64 range.
+// Such a step has also passed any int64 loop bound, so machine-integer
+// loops (Range, Table, Do) stop there instead of wrapping around.
+func stepLeavesInt64(v, st int64) bool {
+	return (st > 0 && v > math.MaxInt64-st) || (st < 0 && v < math.MinInt64-st)
+}
+
 func biRange(k *Kernel, n *expr.Normal) (expr.Expr, bool) {
 	var lo, hi, step expr.Expr
 	switch n.Len() {
@@ -218,9 +225,7 @@ func biRange(k *Kernel, n *expr.Normal) (expr.Expr, bool) {
 		st, last := stI.Int64(), hiI.Int64()
 		for v := loI.Int64(); (st > 0 && v <= last) || (st < 0 && v >= last); v += st {
 			out = append(out, expr.FromInt64(v))
-			// A step that would leave the int64 range also passes last: stop
-			// instead of wrapping around.
-			if (st > 0 && v > math.MaxInt64-st) || (st < 0 && v < math.MinInt64-st) {
+			if stepLeavesInt64(v, st) {
 				break
 			}
 		}

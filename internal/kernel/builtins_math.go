@@ -244,7 +244,7 @@ func compareChain(name string, pred func(int) bool) Builtin {
 			if !ok {
 				return n, false
 			}
-			if !pred(c) {
+			if !pred(c) || c == 0 && unordered(a, b) { // NaN compares as 0
 				return expr.SymFalse, true
 			}
 		}
@@ -423,6 +423,9 @@ func roundToInt(k *Kernel, e expr.Expr, mode func(float64) float64,
 		return expr.FromBig(exact(x.V)), true
 	case *expr.Real:
 		v := mode(x.V)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, false // no integer to round to: stay unevaluated
+		}
 		if math.Abs(v) < 1e18 {
 			return expr.FromInt64(int64(v)), true
 		}
@@ -699,7 +702,7 @@ func signPred(pred func(int) bool) Builtin {
 		if !ok {
 			return n, false
 		}
-		return expr.Bool(pred(c)), true
+		return expr.Bool(pred(c) && (c != 0 || !isNaN(n.Arg(1)))), true // NaN compares as 0
 	}
 }
 
@@ -900,14 +903,14 @@ func bitOp(op func(a, b int64) int64, identity int64) Builtin {
 }
 
 func biShiftLeft(k *Kernel, n *expr.Normal) (expr.Expr, bool) {
-	return shift(k, n, func(v *big.Int, s uint) *big.Int { return new(big.Int).Lsh(v, s) })
+	return shift(k, n, true)
 }
 
 func biShiftRight(k *Kernel, n *expr.Normal) (expr.Expr, bool) {
-	return shift(k, n, func(v *big.Int, s uint) *big.Int { return new(big.Int).Rsh(v, s) })
+	return shift(k, n, false)
 }
 
-func shift(k *Kernel, n *expr.Normal, op func(*big.Int, uint) *big.Int) (expr.Expr, bool) {
+func shift(k *Kernel, n *expr.Normal, left bool) (expr.Expr, bool) {
 	if n.Len() < 1 || n.Len() > 2 {
 		return n, false
 	}
@@ -923,7 +926,13 @@ func shift(k *Kernel, n *expr.Normal, op func(*big.Int, uint) *big.Int) (expr.Ex
 		}
 		s = si.Int64()
 	}
-	return expr.FromBig(op(v.Big(), uint(s))), true
+	if !left {
+		return expr.FromBig(new(big.Int).Rsh(v.Big(), uint(s))), true
+	}
+	if s > maxExactExponent && v.Sign() != 0 {
+		return n, false // refuse absurd exact results, as Power does
+	}
+	return expr.FromBig(new(big.Int).Lsh(v.Big(), uint(s))), true
 }
 
 func biIntegerPart(k *Kernel, n *expr.Normal) (expr.Expr, bool) {

@@ -663,15 +663,63 @@ func TestConditionedDefinitions(t *testing.T) {
 	}
 }
 
-// TestRangeNearInt64Limits: integer Range steps with checked arithmetic, so
-// a range ending near MaxInt64 or MinInt64 stops instead of wrapping past
-// the limit and appending until memory runs out.
+// TestRangeNearInt64Limits: integer Range, Table and Do iterators step with
+// checked arithmetic, so a range ending near MaxInt64 or MinInt64 stops
+// instead of wrapping past the limit and appending until memory runs out.
+// The Table and Do bodies abort after a few passes, so a wrapping iterator
+// fails the test instead of running forever.
 func TestRangeNearInt64Limits(t *testing.T) {
 	cases := map[string]string{
-		"Range[9223372036854775800, 9223372036854775807, 5]":    "{9223372036854775800, 9223372036854775805}",
-		"Range[-9223372036854775800, -9223372036854775808, -5]": "{-9223372036854775800, -9223372036854775805}",
-		"Range[9223372036854775806, 9223372036854775807]":       "{9223372036854775806, 9223372036854775807}",
-		"Range[-9223372036854775807, -9223372036854775808, -1]": "{-9223372036854775807, -9223372036854775808}",
+		"Range[9223372036854775800, 9223372036854775807, 5]":                                                    "{9223372036854775800, 9223372036854775805}",
+		"Range[-9223372036854775800, -9223372036854775808, -5]":                                                 "{-9223372036854775800, -9223372036854775805}",
+		"Range[9223372036854775806, 9223372036854775807]":                                                       "{9223372036854775806, 9223372036854775807}",
+		"Range[-9223372036854775807, -9223372036854775808, -1]":                                                 "{-9223372036854775807, -9223372036854775808}",
+		"n = 0; Length[Table[n++; If[n > 5, Abort[]]; i, {i, 9223372036854775800, 9223372036854775807, 5}]]":    "2",
+		"n = 0; Length[Table[n++; If[n > 5, Abort[]]; i, {i, -9223372036854775800, -9223372036854775808, -5}]]": "2",
+		"n = 0; Do[n++; If[n > 5, Abort[]], {i, 9223372036854775800, 9223372036854775807, 5}]; n":               "2",
+		"n = 0; Do[n++; If[n > 5, Abort[]], {i, -9223372036854775800, -9223372036854775808, -5}]; n":            "2",
+		"n = 0; Table[n++; If[n > 5, Abort[]]; i, {i, 9223372036854775806, 9223372036854775807}]":               "{9223372036854775806, 9223372036854775807}",
+	}
+	for src, want := range cases {
+		if got := ev(t, src); got != want {
+			t.Errorf("%q = %s, want %s", src, got, want)
+		}
+	}
+}
+
+// TestNonFiniteReals: rounding a machine infinity or NaN has no integer
+// result and stays unevaluated, and comparisons with a NaN follow IEEE 754:
+// ordered comparisons and Equal are False, Unequal is True.
+func TestNonFiniteReals(t *testing.T) {
+	const defs = "x = 1.0*^308*10.0; y = x - x; "
+	cases := map[string]string{
+		"{Floor[x], Ceiling[x], Round[x], IntegerPart[x]}":                                          "{Floor[+Inf], Ceiling[+Inf], Round[+Inf], IntegerPart[+Inf]}",
+		"{Floor[-x], Ceiling[-x], Round[-x], IntegerPart[-x]}":                                      "{Floor[-Inf], Ceiling[-Inf], Round[-Inf], IntegerPart[-Inf]}",
+		"{Floor[y], Ceiling[y], Round[y], IntegerPart[y]}":                                          "{Floor[NaN], Ceiling[NaN], Round[NaN], IntegerPart[NaN]}",
+		"{Equal[1.0, y], Equal[y, y], Equal[y, 1], Equal[1, 1., y]}":                                "{False, False, False, False}",
+		"{Unequal[1.0, y], Unequal[y, y]}":                                                          "{True, True}",
+		"{Less[1.0, y], LessEqual[1.0, y], Greater[1.0, y], GreaterEqual[1.0, y], LessEqual[y, y]}": "{False, False, False, False, False}",
+		"{Positive[y], Negative[y], NonNegative[y]}":                                                "{False, False, False}",
+		"{Equal[x, x], Less[1.0, x], Greater[-x, 1]}":                                               "{True, True, False}",
+	}
+	for src, want := range cases {
+		if got := ev(t, defs+src); got != want {
+			t.Errorf("%q = %s, want %s", src, got, want)
+		}
+	}
+}
+
+// TestBitShiftLeftExactBound: a left shift by more than maxExactExponent
+// stays unevaluated, as Power with such an exponent does, instead of asking
+// for a result of gigabytes; at the bound it still evaluates.
+func TestBitShiftLeftExactBound(t *testing.T) {
+	cases := map[string]string{
+		"BitShiftLeft[1, 2^20] == 2^(2^20)":     "True",
+		"BitShiftLeft[-3, 2^20] == -3*2^(2^20)": "True",
+		"BitShiftLeft[1, 2^20 + 1]":             "BitShiftLeft[1, 1048577]",
+		"BitShiftLeft[1, 2^40]":                 "BitShiftLeft[1, 1099511627776]",
+		"BitShiftLeft[0, 2^40]":                 "0",
+		"BitShiftRight[5, 2^40]":                "0",
 	}
 	for src, want := range cases {
 		if got := ev(t, src); got != want {

@@ -98,25 +98,19 @@ func FindRoot(k *kernel.Kernel, eq expr.Expr, x *expr.Symbol, x0 float64, opts F
 // lives on the kernel itself (kernel.Assoc) rather than in a package-level
 // map keyed by kernel pointer — the former sync.Map version pinned every
 // kernel (and its compiler) ever used for numerics for the process
-// lifetime, a real leak once sessions churn.
+// lifetime, a real leak once sessions churn. Like every compiler on the
+// kernel, it resolves registry calls in the kernel's own namespace.
 const compilerAssocKey = "numerics.compiler"
 
 func cachedCompile(k *kernel.Kernel, fn expr.Expr) (*core.CompiledCodeFunction, error) {
-	c := k.AssocOrStore(compilerAssocKey, func() any { return core.NewCompiler(k) }).(*core.Compiler)
-	return c.FunctionCompileCached(fn)
-}
-
-// UseCompiler pins c as the kernel's numerics compiler (an engine installs
-// its registry-scoped compiler here so implicit FindRoot/NIntegrate
-// compiles resolve and cache inside the engine's namespace).
-func UseCompiler(k *kernel.Kernel, c *core.Compiler) {
-	k.SetAssoc(compilerAssocKey, c)
-}
-
-// ReleaseCompiler drops the kernel's memoised numerics compiler (engine
-// shutdown; also drops any UseCompiler pin).
-func ReleaseCompiler(k *kernel.Kernel) {
-	k.SetAssoc(compilerAssocKey, nil)
+	v, ok := k.Assoc(compilerAssocKey)
+	if !ok {
+		// Build outside AssocOrStore: NewCompiler reads the kernel's
+		// registry attachment, and the assoc lock is not reentrant.
+		c := core.NewCompiler(k)
+		v = k.AssocOrStore(compilerAssocKey, func() any { return c })
+	}
+	return v.(*core.Compiler).FunctionCompileCached(fn)
 }
 
 // makeEvaluator builds a float64 evaluator for eq(x): compiled when

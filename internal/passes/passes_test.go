@@ -30,7 +30,7 @@ func buildTWIR(t *testing.T, src string) *wir.Module {
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	if err := infer.Infer(mod, tenv); err != nil {
+	if err := infer.Infer(mod, tenv, nil); err != nil {
 		t.Fatalf("infer: %v", err)
 	}
 	return mod

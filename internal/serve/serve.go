@@ -1,6 +1,6 @@
 // Package serve is the multi-tenant evaluation service (ISSUE 8): each
 // session owns one isolated engine.Engine (kernel + compiler + tiering +
-// registry namespace), while the process-wide sharded compile cache and
+// registry namespace), while the process-wide compile cache and
 // the artifact store are shared across sessions, so tenant B's hot-query
 // compile is warm because tenant A already paid for it — without either
 // observing the other's definitions.
